@@ -688,6 +688,14 @@ def render_serve_status(doc) -> str:
         lines.append(
             "  store: " + ("; ".join(health) if health else "healthy")
         )
+    template = doc.get("template")
+    if template:
+        lines.append(
+            f"  worker template: pid {template['pid']} "
+            f"({'alive' if template['alive'] else 'down'}), "
+            f"{template['forked']} forked, "
+            f"{template['restarts']} restart(s)"
+        )
     tail = doc.get("journal_tail")
     if tail:
         lines.append(f"  journal tail ({len(tail)} record(s)):")

@@ -15,8 +15,8 @@ Layers:
 
 * :mod:`repro.serve.store` — the durable job database (state-dir
   layout, record vocabulary, last-record-wins replay);
-* :mod:`repro.serve.worker` — the per-job subprocess entry point
-  (``python -m repro.serve.worker``) that executes one leased job
+* :mod:`repro.serve.worker` — the worker template the daemon forks
+  workers from, and the worker body that executes one leased job
   under a heartbeat;
 * :mod:`repro.serve.daemon` — the lease/requeue/backoff control loop
   plus graceful drain (SIGTERM → exit 75 with a resume hint);

@@ -8,7 +8,7 @@ most the response, never the submit.
 
 Endpoints::
 
-    GET  /healthz                     liveness + queue depths
+    GET  /healthz                     liveness, queue depths, template
     GET  /api/jobs                    all jobs (replayed view)
     POST /api/jobs                    submit {kind, spec} -> {job_id}
     GET  /api/jobs/JOB                one job's status document
@@ -49,6 +49,7 @@ def _routes(daemon: ServeDaemon, shutdown: threading.Event):
             "records": state.records,
             "corrupt_records": state.corrupt_records,
             "store": store.health(state),
+            "template": daemon.template.status(),
         }
 
     def list_jobs() -> Tuple[int, Dict[str, Any]]:
@@ -76,6 +77,7 @@ def _routes(daemon: ServeDaemon, shutdown: threading.Event):
         except ServeStoreError as exc:
             return 404, {"error": str(exc)}
         doc["store"] = store.health()
+        doc["template"] = daemon.template.status()
         return 200, doc
 
     def journal_tail(

@@ -28,11 +28,20 @@ leaves its workers running; on restart the daemon sees their fresh
 heartbeats and leaves the leases alone — re-leasing would double-run
 the job.  Only a *stale* lease (no heartbeat inside the lease
 timeout) is ever re-dispatched.
+
+Workers are forked from one *worker template* (see
+:mod:`repro.serve.worker`), a process the daemon starts on its first
+tick that has already imported the ``run`` path.  Each worker runs in
+its own session, so a template that dies leaves its workers running;
+the daemon then watches them like a predecessor's orphans and starts
+a new template for the next lease.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -41,12 +50,23 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Set, Union
+from typing import Any, Dict, List, Optional, Set, Union
 
 from ..exec.journal import RESUMABLE_EXIT_CODE
 from .store import JobStore, ServeState, job_backoff
 
 __all__ = ["DaemonConfig", "ServeDaemon"]
+
+#: Seconds to wait for the template's answer to a lease (its first
+#: answer waits out its imports) and for its exit on drain.
+_TEMPLATE_TIMEOUT_S = 60.0
+
+#: The template's entry point.  The command line names
+#: ``repro.serve.worker``, as its forked workers' do.
+_TEMPLATE_MAIN = (
+    "import sys; from repro.serve.worker import template_main; "
+    "sys.exit(template_main(sys.argv[1]))"
+)
 
 
 @dataclass
@@ -64,25 +84,196 @@ class DaemonConfig:
     grace: float = 5.0
 
     def validate(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ValueError(
+                f"cannot bind port {self.port}: must be 0-65535"
+            )
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.lease_timeout <= 0:
             raise ValueError("lease timeout must be positive")
         if self.heartbeat <= 0:
             raise ValueError("heartbeat interval must be positive")
+        if self.poll <= 0:
+            raise ValueError("poll interval must be positive")
         if self.max_attempts < 1:
             raise ValueError("max attempts must be >= 1")
+        if self.grace < 0:
+            raise ValueError("drain grace must be >= 0")
 
 
-def _worker_env() -> Dict[str, str]:
-    """Subprocess env with this repro checkout importable."""
-    import repro
+class _Template:
+    """The daemon's end of the worker template's control pipe."""
 
-    src = str(Path(repro.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src if not existing else f"{src}{os.pathsep}{existing}"
-    return env
+    def __init__(self, state_dir: Path) -> None:
+        self.state_dir = state_dir
+        self.proc: Optional[subprocess.Popen] = None
+        #: Workers forked, and templates started to replace a dead one.
+        self.forked = 0
+        self.restarts = 0
+        self._pending = b""
+        # Answers not yet claimed, and worker pid -> exit status.
+        self._forks: List[int] = []
+        self._started: List[int] = []
+        self._exits: Dict[int, int] = {}
+
+    def alive(self) -> bool:
+        return self.proc is not None and self.proc.poll() is None
+
+    def status(self) -> Dict[str, Any]:
+        """The ``template`` block of ``/healthz`` and ``serve status``."""
+        return {
+            "pid": None if self.proc is None else self.proc.pid,
+            "alive": self.alive(),
+            "forked": self.forked,
+            "restarts": self.restarts,
+        }
+
+    def ensure(self) -> None:
+        """Start the template unless one is running."""
+        if self.alive():
+            return
+        if self.proc is not None:
+            self.pump()  # what it reported before it died
+            self.proc.stdin.close()
+            self.proc.stdout.close()
+            self.restarts += 1
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        existing = env.get("PYTHONPATH")
+        env["PYTHONPATH"] = (
+            src if not existing else f"{src}{os.pathsep}{existing}"
+        )
+        self._pending = b""
+        self._forks.clear()
+        self._started.clear()
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", _TEMPLATE_MAIN, str(self.state_dir)],
+            env=env,
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            bufsize=0,  # requests go out whole; closing writes nothing
+            start_new_session=True,
+        )
+
+    def pump(self, timeout: float = 0.0) -> None:
+        """Read what the template has reported, waiting up to
+        ``timeout`` seconds for the first line."""
+        if self.proc is None or self.proc.stdout.closed:
+            return
+        fd = self.proc.stdout.fileno()
+        while select.select([fd], [], [], timeout)[0]:
+            data = os.read(fd, 65536)
+            if not data:
+                return  # EOF: the template is gone
+            *lines, self._pending = (self._pending + data).split(b"\n")
+            for line in lines:
+                msg = json.loads(line)
+                if "exit" in msg:
+                    self._exits[msg["pid"]] = msg["exit"]
+                elif "started" in msg:
+                    self._started.append(msg["pid"])
+                else:
+                    self._forks.append(msg["pid"])
+            timeout = 0.0
+
+    def _ask(self, msg: Dict[str, Any], answers: List[int]) -> int:
+        """Send one request and wait for its answer in ``answers``."""
+        self.proc.stdin.write(json.dumps(msg).encode() + b"\n")
+        deadline = time.monotonic() + _TEMPLATE_TIMEOUT_S
+        while not answers:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self.alive():
+                raise OSError(f"worker template did not answer {msg}")
+            self.pump(min(remaining, 0.5))
+        return answers.pop(0)
+
+    def fork(self, job_id: str, attempt: int, heartbeat: float) -> "_Worker":
+        """Fork a worker for one lease; it waits for :meth:`release`."""
+        pid = self._ask(
+            {"job": job_id, "attempt": attempt, "heartbeat": heartbeat},
+            self._forks,
+        )
+        self.forked += 1
+        return _Worker(self, pid)
+
+    def release(self, pid: int) -> None:
+        """Let a forked worker start: its lease is on record."""
+        try:
+            self._ask({"go": pid}, self._started)
+        except OSError:
+            # The template died first: the worker exits unstarted, and
+            # its lease goes stale and is re-dispatched.
+            pass
+
+    def exit_status(self, pid: int) -> Optional[int]:
+        self.pump()
+        return self._exits.pop(pid, None)
+
+    def close(self) -> None:
+        """Close the control pipe and reap the template."""
+        if self.proc is None:
+            return
+        self.proc.stdin.close()
+        try:
+            self.proc.wait(timeout=_TEMPLATE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:  # pragma: no cover - wedged
+            self.proc.kill()
+            self.proc.wait()
+        self.proc.stdout.close()
+
+
+class _Worker:
+    """One forked worker, with the part of the ``Popen`` interface the
+    daemon uses.  Its exit status arrives through the template that
+    forked it, so once that template has died an unreported worker is
+    :meth:`orphaned`: :meth:`poll` stays ``None`` and :meth:`wait`
+    returns ``None``."""
+
+    def __init__(self, template: _Template, pid: int) -> None:
+        self._template = template
+        self._origin = template.proc
+        self.pid = pid
+        self.returncode: Optional[int] = None
+
+    def poll(self) -> Optional[int]:
+        if self.returncode is None:
+            self.returncode = self._template.exit_status(self.pid)
+        return self.returncode
+
+    def orphaned(self) -> bool:
+        # Origin first: a template that is dead has already written
+        # every exit it will ever report.
+        return self._origin.poll() is not None and self.poll() is None
+
+    def wait(self, timeout: Optional[float] = None) -> Optional[int]:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            code = self.poll()
+            if code is not None or self.orphaned():
+                return code
+            remaining = 0.5
+            if deadline is not None:
+                remaining = min(remaining, deadline - time.monotonic())
+                if remaining <= 0:
+                    raise subprocess.TimeoutExpired(str(self.pid), timeout)
+            self._template.pump(remaining)
+
+    def _signal(self, sig: int) -> None:
+        if self.poll() is None:
+            try:
+                os.kill(self.pid, sig)
+            except ProcessLookupError:  # pragma: no cover - raced its exit
+                pass
+
+    def kill(self) -> None:
+        self._signal(signal.SIGKILL)
+
+    def terminate(self) -> None:
+        self._signal(signal.SIGTERM)
 
 
 class ServeDaemon:
@@ -98,8 +289,10 @@ class ServeDaemon:
         #: even under pid reuse — the arbitration hook multi-daemon
         #: state-dir sharing builds on.
         self.daemon_id = f"d-{os.getpid()}-{uuid.uuid4().hex[:8]}"
-        #: Worker processes this daemon spawned, by job id.
-        self._procs: Dict[str, subprocess.Popen] = {}
+        #: The process this daemon forks its workers from.
+        self.template = _Template(self.store.state_dir)
+        #: Workers forked for this daemon, by job id.
+        self._procs: Dict[str, _Worker] = {}
         #: Jobs leased by *this* process — distinguishes a lease we
         #: watched die (``lease-expired``) from one inherited from a
         #: predecessor daemon (``daemon-restart``).
@@ -112,20 +305,6 @@ class ServeDaemon:
             self._log(f"swept {len(swept)} orphaned temp file(s)")
 
     # -- helpers -----------------------------------------------------------
-    def _spawn(self, job_id: str, attempt: int) -> subprocess.Popen:
-        return subprocess.Popen(
-            [
-                sys.executable, "-m", "repro.serve.worker",
-                str(self.store.state_dir), job_id,
-                "--attempt", str(attempt),
-                "--heartbeat", str(self.config.heartbeat),
-            ],
-            env=_worker_env(),
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
-            start_new_session=True,  # orphan-tolerant: survives daemon death
-        )
-
     def _requeue(self, job_id: str, attempt: int, reason: str) -> None:
         """Requeue or, past the attempt budget, fail terminally."""
         if reason == "drain":
@@ -171,6 +350,13 @@ class ServeDaemon:
         for job_id, proc in list(self._procs.items()):
             code = proc.poll()
             if code is None:
+                if proc.orphaned():
+                    # Its template died, so no exit status will come:
+                    # watch it like a predecessor's orphan (heartbeat
+                    # staleness, then ``_pid_alive``).
+                    del self._procs[job_id]
+                    self._log(f"{job_id}: worker template died; pid "
+                              f"{proc.pid} left to lease expiry")
                 continue
             del self._procs[job_id]
             job = state.jobs.get(job_id)
@@ -226,6 +412,7 @@ class ServeDaemon:
 
         # 4. Lease queued jobs into free worker slots (oldest first).
         if not self.draining:
+            self.template.ensure()
             busy = sum(1 for j in state.jobs.values() if j.status == "leased")
             leased_any = False
             for job in sorted(
@@ -235,11 +422,23 @@ class ServeDaemon:
                 if busy >= self.config.workers:
                     break
                 attempt = job.attempt + 1
-                proc = self._spawn(job.job_id, attempt)
-                self.store.job_leased(
-                    job.job_id, attempt, proc.pid,
-                    self.config.lease_timeout, daemon_id=self.daemon_id,
-                )
+                try:
+                    proc = self.template.fork(
+                        job.job_id, attempt, self.config.heartbeat
+                    )
+                except OSError as exc:
+                    # The next tick starts a fresh template.
+                    self._log(f"{job.job_id}: not leased: {exc}")
+                    break
+                try:
+                    self.store.job_leased(
+                        job.job_id, attempt, proc.pid,
+                        self.config.lease_timeout, daemon_id=self.daemon_id,
+                    )
+                except BaseException:
+                    proc.kill()  # never run a job without its lease
+                    raise
+                self.template.release(proc.pid)
                 self._procs[job.job_id] = proc
                 self._mine.add(job.job_id)
                 busy += 1
@@ -281,6 +480,9 @@ class ServeDaemon:
                 proc.wait()
         # Final reap pass records drain requeues for handed-back jobs.
         state = self.tick()
+        # Reaping the template folds its workers' CPU time and peak RSS
+        # into this process's rusage.
+        self.template.close()
         unfinished = state.unfinished()
         if unfinished:
             self._log(

@@ -1,7 +1,11 @@
-"""The per-job worker subprocess: ``python -m repro.serve.worker``.
+"""The per-job worker process and the template it is forked from.
 
-The daemon leases a job, appends ``job_leased``, and spawns one of
-these per job.  The worker's lifecycle is deliberately *independent*
+The daemon keeps one *template* process (:func:`template_main`) that
+has imported what a ``run`` job needs and then waits on a control
+pipe.  For each lease the template forks a worker, which runs
+:func:`main` — the same body ``python -m repro.serve.worker STATE JOB``
+runs — so a job pays a fork instead of an interpreter start and a
+numpy import.  The worker's lifecycle is deliberately *independent*
 of the daemon's: it talks to the world only through the shared state
 directory (heartbeats into ``jobs.log``, checkpoints into its per-job
 run journal, the final document into ``results/``), so a daemon that
@@ -31,11 +35,25 @@ execution (they never reach the engine, so they cannot perturb
 digests).  ``_wedge_attempts: K`` makes attempts ``<= K`` wedge —
 stop heartbeating and hang until killed — which is how the test suite
 produces a deterministic lease expiry.
+
+Template protocol: one JSON object per line.  The daemon writes
+``{"job", "attempt", "heartbeat"}`` to fork a worker and ``{"go":
+pid}`` once it has appended that worker's ``job_leased``; the template
+answers a fork with ``{"pid"}``, a go with ``{"pid", "started"}`` and
+each reaped worker with ``{"pid", "exit"}``.  A forked worker waits on
+its own gate pipe until the go, so its first record can never precede
+its lease, and once the go is answered it runs even if the template
+dies.  The template
+is single-threaded, holds no store lock or log fd, and has run nothing,
+so every process-global a worker inherits is at import-time state.
 """
 
 from __future__ import annotations
 
+import importlib
+import json
 import os
+import select
 import signal
 import sys
 import threading
@@ -46,7 +64,16 @@ from ..core.atomicio import atomic_write_text, canonical_json
 from ..exec.journal import RESUMABLE_EXIT_CODE, JournalError, load_journal
 from .store import JobStore
 
-__all__ = ["execute_job", "finalize_job", "main"]
+__all__ = ["execute_job", "finalize_job", "main", "template_main"]
+
+#: Modules the template imports before its first fork: what a ``run``
+#: job needs.  Other job kinds import lazily inside the worker, so the
+#: template stays no larger than a cold worker.
+TEMPLATE_PRELOAD = (
+    "repro.core.experiments",
+    "repro.exec",
+    "repro.obs.collector",
+)
 
 #: Default seconds between worker heartbeats into the job log.
 DEFAULT_HEARTBEAT_S = 1.0
@@ -327,6 +354,99 @@ def main(argv: Optional[list] = None) -> int:
               file=sys.stderr)
         return 1
     return 0
+
+
+def _worker_child(
+    state_dir: str, lease: Dict[str, Any], gate: int, inherited: list
+) -> int:
+    """The forked side of one lease: detach from the template, wait
+    for the daemon's ``go``, then run :func:`main`."""
+    os.setsid()  # orphan-tolerant: survives template and daemon death
+    signal.set_wakeup_fd(-1)
+    for sig in (signal.SIGTERM, signal.SIGINT, signal.SIGCHLD):
+        signal.signal(sig, signal.SIG_DFL)
+    devnull = os.open(os.devnull, os.O_RDWR)
+    for fd in (0, 1, 2):
+        os.dup2(devnull, fd)  # also drops the control pipe
+    os.close(devnull)
+    for fd in inherited:
+        os.close(fd)
+    if not os.read(gate, 1):
+        # The template exited before the daemon recorded this lease:
+        # run nothing, so no record of ours can precede a job_leased.
+        return RESUMABLE_EXIT_CODE
+    os.close(gate)
+    return main([
+        state_dir, lease["job"],
+        "--attempt", str(lease["attempt"]),
+        "--heartbeat", str(lease["heartbeat"]),
+    ])
+
+
+def template_main(state_dir: str) -> int:
+    """Preload the ``run`` path, then fork one worker per lease read
+    from stdin until stdin closes (the daemon drained or died; running
+    workers live on in their own sessions)."""
+    for name in TEMPLATE_PRELOAD:
+        importlib.import_module(name)
+    wake_r, wake_w = os.pipe()
+    for fd in (wake_r, wake_w):
+        os.set_blocking(fd, False)
+    signal.set_wakeup_fd(wake_w)
+    signal.signal(signal.SIGCHLD, lambda signum, frame: None)
+    gates: Dict[int, int] = {}  # worker pid -> write end of its gate
+    pending = b""
+
+    def reply(msg: Dict[str, Any]) -> None:
+        os.write(1, json.dumps(msg).encode() + b"\n")
+
+    while True:
+        ready, _, _ = select.select([0, wake_r], [], [])
+        if wake_r in ready:
+            os.read(wake_r, 4096)
+            while True:
+                try:
+                    pid, status = os.waitpid(-1, os.WNOHANG)
+                except ChildProcessError:
+                    break
+                if not pid:
+                    break
+                gate = gates.pop(pid, None)
+                if gate is not None:
+                    os.close(gate)
+                reply({"pid": pid,
+                       "exit": os.waitstatus_to_exitcode(status)})
+        if 0 not in ready:
+            continue
+        data = os.read(0, 65536)
+        if not data:
+            return 0
+        *lines, pending = (pending + data).split(b"\n")
+        for line in lines:
+            msg = json.loads(line)
+            if "go" in msg:
+                gate = gates.pop(msg["go"], None)
+                if gate is not None:
+                    os.write(gate, b"g")
+                    os.close(gate)
+                reply({"pid": msg["go"], "started": True})
+                continue
+            gate_r, gate_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                # Whatever happens, the worker never returns into this
+                # loop or runs the template's exit handlers.
+                code = 1
+                try:
+                    code = _worker_child(
+                        state_dir, msg, gate_r,
+                        [wake_r, wake_w, gate_w, *gates.values()],
+                    )
+                finally:
+                    os._exit(code)
+            os.close(gate_r)
+            gates[pid] = gate_w
+            reply({"pid": pid})
 
 
 if __name__ == "__main__":  # pragma: no cover - subprocess entry

@@ -64,6 +64,10 @@ class TestEndpoints:
         assert doc["draining"] is False
         assert doc["queue"]["queued"] == 1
         assert doc["state_dir"] == str(daemon.store.state_dir)
+        # Un-ticked: the worker template has not been started yet.
+        assert doc["template"] == {
+            "pid": None, "alive": False, "forked": 0, "restarts": 0,
+        }
 
     def test_submit_then_get_and_list(self, served):
         _, url, _ = served
@@ -176,6 +180,27 @@ class TestCliClient:
         assert shutdown.is_set()
 
 
+class TestStartValidation:
+    @pytest.mark.parametrize("flags, message", [
+        (["--port", "70000"], "cannot bind port 70000"),
+        (["--port", "-1"], "cannot bind port -1"),
+        (["--poll", "-1"], "poll interval must be positive"),
+        (["--poll", "0"], "poll interval must be positive"),
+        (["--grace", "-1"], "drain grace must be >= 0"),
+    ])
+    def test_bad_start_flags_exit_2_without_traceback(
+        self, tmp_path, flags, message,
+    ):
+        out = _cli("serve", "start", "--state-dir", str(tmp_path / "s"),
+                   *flags, timeout=60)
+        assert out.returncode == 2, out.stderr
+        assert message in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_zero_grace_and_ephemeral_port_are_valid(self, tmp_path):
+        DaemonConfig(state_dir=tmp_path, port=0, grace=0.0).validate()
+
+
 @pytest.mark.slow
 class TestEndToEnd:
     def test_submit_wait_result_metrics_over_http(self, tmp_path):
@@ -218,6 +243,14 @@ class TestEndToEnd:
             waited = json.loads(out.stdout)
             assert waited["status"] == "done"
             assert waited["digests"]["run"] == digest
+
+            # Both jobs were forked from one live template.
+            template = sc.healthz(url=url)["template"]
+            assert template["alive"] and template["forked"] == 2
+            assert template["restarts"] == 0
+            out = _cli("serve", "status", job_id, "--url", url)
+            assert (f"worker template: pid {template['pid']} (alive), "
+                    "2 forked, 0 restart(s)") in out.stdout
         finally:
             shutdown.set()
             loop.join(timeout=60)

@@ -15,12 +15,17 @@ assertions:
   ``failed`` state after ``max_attempts`` instead of wedging the
   queue;
 * drain stops leasing and reports 75 while work remains, 0 when done;
-* cancel kills the worker and is sticky.
+* cancel kills the worker and is sticky;
+* workers forked from the worker template yield the in-process
+  digest, a SIGKILL'd template leaves its workers to the orphan path
+  and is replaced, and drain reaps the template.
 """
 
 import json
+import os
 import signal
 import time
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +33,17 @@ from repro.serve.daemon import DaemonConfig, ServeDaemon
 from repro.serve.store import JobStore, job_backoff
 
 pytestmark = pytest.mark.slow
+
+#: Daemons built by the current test; their templates are closed at
+#: teardown so no test leaves a process behind.
+_LIVE = []
+
+
+@pytest.fixture(autouse=True)
+def _close_templates():
+    yield
+    while _LIVE:
+        _LIVE.pop().template.close()
 
 
 def _daemon(tmp_path, **overrides):
@@ -41,7 +57,19 @@ def _daemon(tmp_path, **overrides):
         grace=3.0,
     )
     kwargs.update(overrides)
-    return ServeDaemon(DaemonConfig(**kwargs))
+    daemon = ServeDaemon(DaemonConfig(**kwargs))
+    _LIVE.append(daemon)
+    return daemon
+
+
+def _running(pid):
+    """True while ``pid`` runs; a zombie (killed, not yet reaped by its
+    new parent) counts as gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
 def _drive(daemon, job_id, timeout=180.0):
@@ -59,13 +87,13 @@ def _drive(daemon, job_id, timeout=180.0):
     )
 
 
-def _expected_run_digest(key="lst1", scale="ci"):
+def _expected_run_digest(key="lst1", scale="ci", faults=None, seed=0):
     """The digest an uninterrupted in-process run yields — what the
     CLI's ``repro run KEY --metrics-dir`` would stamp."""
     from repro.exec import Engine
     from repro.obs.collector import collect_run, document_digest
 
-    engine = Engine(jobs=1)
+    engine = Engine(jobs=1, fault_spec=faults, fault_seed=seed)
     outcomes = engine.run_many([key], scale=scale)
     return document_digest(
         collect_run(engine.stats, outcomes, keys=[key], scale=scale)
@@ -198,6 +226,70 @@ class TestRestartRecovery:
         assert job.status == "done"
         assert job.last_requeue_reason == "daemon-restart"
         assert job.digests["run"] == _expected_run_digest()
+
+
+class TestWorkerTemplate:
+    def test_forked_jobs_match_the_in_process_digest(self, tmp_path):
+        daemon = _daemon(tmp_path)
+        specs = [
+            {"key": "lst1", "scale": "ci"},
+            {"key": "fig1", "scale": "ci"},
+            {"key": "fig2", "scale": "ci", "faults": "lossy", "seed": 3},
+        ]
+        jobs = [daemon.store.submit("run", spec) for spec in specs]
+        for job_id, spec in zip(jobs, specs):
+            job = _drive(daemon, job_id)
+            assert job.status == "done", job.error
+            assert job.digests["run"] == _expected_run_digest(
+                spec["key"], faults=spec.get("faults"),
+                seed=spec.get("seed", 0),
+            )
+        status = daemon.template.status()
+        assert status["alive"] and status["forked"] == 3
+        assert status["restarts"] == 0
+
+    def test_sigkilled_template_leaves_workers_to_the_orphan_path(
+        self, tmp_path,
+    ):
+        daemon = _daemon(tmp_path)
+        wedged = daemon.store.submit(
+            "run", {"key": "lst1", "_wedge_attempts": 1},
+        )
+        orphan = daemon.tick().jobs[wedged].worker_pid
+        first = daemon.template.status()["pid"]
+        os.kill(first, signal.SIGKILL)
+        daemon.template.proc.wait(timeout=10)
+        # The worker runs in its own session: the template's death
+        # does not take it down.
+        assert _running(orphan)
+
+        job_id = daemon.store.submit("run", {"key": "lst1"})
+        job = _drive(daemon, job_id)
+        assert job.status == "done"
+        assert job.digests["run"] == _expected_run_digest()
+        status = daemon.template.status()
+        assert status["alive"] and status["pid"] != first
+        assert status["restarts"] == 1
+
+        # The wedged lease still expires; its orphan is killed by pid
+        # and attempt 2 completes through the new template.
+        job = _drive(daemon, wedged)
+        assert job.status == "done"
+        assert job.last_requeue_reason == "lease-expired"
+        assert job.requeues == 1
+        assert not _running(orphan)
+
+    def test_drain_reaps_the_template(self, tmp_path):
+        daemon = _daemon(tmp_path)
+        job_id = daemon.store.submit("run", {"key": "lst1"})
+        worker = daemon.tick().jobs[job_id].worker_pid
+        template = daemon.template.status()["pid"]
+        _drive(daemon, job_id)
+        assert daemon.drain() == 0
+        assert not daemon.template.status()["alive"]
+        # Reaped, not merely dead: no /proc entry, not even a zombie.
+        for pid in (template, worker):
+            assert not Path(f"/proc/{pid}").exists(), pid
 
 
 def _log_records(store):
