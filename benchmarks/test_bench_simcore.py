@@ -4,7 +4,10 @@ Times the same figure workloads on both simulator cores, asserts the
 results are byte-identical, and records wall-clock, speedup, and
 events/sec into ``BENCH_simcore.json`` (see ``conftest.py``).  The
 ShallowWaters stepping comparison (fused out-parameter kernels vs the
-reference functional RHS) rides along as steps/sec.
+reference functional RHS) rides along as steps/sec.  The reference
+object core and unfused stepper are swapped in with ``MonkeyPatch`` on
+the names the default path looks up, exactly as the differential tests
+do.
 
 These are the numbers CI's ``perf-smoke`` job gates on, so the asserts
 here stay loose (identity is hard, speedup just has to be real); the
@@ -19,9 +22,11 @@ import pytest
 
 from repro.core import figures
 from repro.core.benchmark import Timing
-from repro.mpi import simcore
+from repro.mpi import comm as comm_module
 from repro.mpi.bindings import IMB_C
 from repro.mpi.comm import MPIWorld
+from repro.mpi.simulator import Engine
+from repro.shallowwaters import kernels
 from repro.shallowwaters.integration import RK4Integrator
 from repro.shallowwaters.model import ShallowWaterParams
 
@@ -31,13 +36,12 @@ FIG3_SIZES = [4, 1024, 262144]
 
 
 def _timed(core, fn):
-    simcore.set_sim_core(core)
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        if core == "object":
+            mp.setattr(comm_module, "BatchedEngine", Engine)
         t0 = time.perf_counter()
         out = fn()
         return time.perf_counter() - t0, out
-    finally:
-        simcore.set_sim_core(None)
 
 
 def _canon(result):
@@ -88,8 +92,7 @@ def test_allreduce_events_per_sec(simcore_record):
     for core in ("object", "batched"):
         def run():
             world = MPIWorld(nranks=1536, ranks_per_node=4,
-                             shape=(4, 6, 16), binding=IMB_C,
-                             sim_core=core)
+                             shape=(4, 6, 16), binding=IMB_C)
             out = world.run(bench._program, 1024, 5)
             return world, out
         wall, (world, out) = _timed(core, run)
@@ -123,8 +126,12 @@ def test_shallowwaters_steps_per_sec(simcore_record):
         )
         from repro.shallowwaters.model import ShallowWaterModel
 
-        integ = RK4Integrator(p, fused=fused)
-        integ.bind(ShallowWaterModel(p).initial_state("turbulence"))
+        integ = RK4Integrator(p)
+        with pytest.MonkeyPatch.context() as mp:
+            if not fused:
+                mp.setattr(kernels, "make_fused", lambda *args: None)
+            integ.bind(ShallowWaterModel(p).initial_state("turbulence"))
+        assert (integ._fused is not None) == fused
         integ.step()  # warm allocation pools outside the timed region
         t0 = time.perf_counter()
         for _ in range(steps):

@@ -4,6 +4,9 @@
 * network:     :class:`TofuDNetwork` — wire latency/bandwidth/protocols
 * bindings:    ``IMB_C`` vs ``MPI_JL`` software-cost profiles
 * simulator:   :class:`Engine` — deterministic discrete-event engine
+               (the reference semantics)
+* batched:     :class:`~repro.mpi.batched.BatchedEngine` — the event
+               core every :class:`MPIWorld` runs
 * comm:        :class:`MPIWorld` / :class:`Comm` — mpi4py-style surface
 * collectives: real message-flow algorithms (allreduce/reduce/gatherv/...)
 * benchsuite:  IMB / MPIBenchmarks.jl-equivalent drivers

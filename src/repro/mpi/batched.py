@@ -28,11 +28,14 @@ semantics everywhere else.  Three layers, each exactly value-preserving:
    commits every rank's clock advance with vectorised numpy column
    arithmetic: injection, per-destination ingress serialisation,
    arrival, and recv completion as float64 array ops (bit-identical to
-   the scalar float chain).  A wave only commits when the earliest
-   computed completion does not precede the latest member resume;
-   otherwise the already-yielded ops are drained one by one in exact
-   heap order, so heterogeneous phases (tree reductions, linear
-   gathers, fold-ins) fall back to the object schedule.  Waves are
+   the scalar float chain).  Only the head of the wave that dispatches
+   before any resume it schedules comes due commits; the rest, and
+   any wave that cannot commit, is drained one by one in exact heap
+   order, so heterogeneous phases (tree reductions, linear gathers,
+   fold-ins) fall back to the object schedule.  A commit hands out
+   seqs in the order the object core creates the events, and queues a
+   delivery as a real event when a rank could run on before it pops.
+   Waves are
    attempted only in *fast mode* — no faults, no tracing, no guard, no
    recv timeout — so observability hooks always see the object core's
    exact event stream.
@@ -137,10 +140,19 @@ class BatchedEngine(Engine):
 
     # -- cached timing tables ------------------------------------------
     def _wire(self, src: int, dest: int, nbytes: int):
-        key = (src, dest, nbytes)
+        hm = self._hops_mat
+        if hm is None:
+            key = (src, dest, nbytes)
+        else:
+            sn, dn = src // self._rpn, dest // self._rpn
+            # Link faults act per node pair; a healthy wire's timing
+            # depends only on the hop count (-1: same node) and size.
+            if self.network.faults is None:
+                key = (-1 if sn == dn else int(hm[sn, dn]), nbytes)
+            else:
+                key = (sn, dn, nbytes)
         w = self._wire_cache.get(key)
         if w is None:
-            hm = self._hops_mat
             if hm is None:
                 w = self.network.wire_time(src, dest, nbytes)
             else:
@@ -262,6 +274,19 @@ class BatchedEngine(Engine):
         drain the wave is the complete set of pending resumes; a
         homogeneous lockstep round commits vectorised, anything else
         falls back to an exact-order scalar drain.
+
+        Values are then exact, but a drained delivery's resume got its
+        seq early: the object core numbers it when the delivery pops,
+        after whatever pops before it.  Only equal-time ties read seqs.
+        A committed wave consumes the drained resumes as members, so
+        their seqs only order the wave, where early seqs sort the same
+        way.  The scalar drain re-numbers each one as it passes the
+        delivery's key.
+
+        Once a neutral member's resume comes due, the object core runs
+        that rank on before any later member dispatches, so only the
+        members before that point (the head) may commit; the rest go
+        through the scalar drain behind the commit.
         """
         heap = self._events
         states = self._states
@@ -315,24 +340,32 @@ class BatchedEngine(Engine):
             first = sorted(heap)
             del heap[:]
             wave: List[tuple] = []
+            drained: List[tuple] = []
             for ev in first:
                 if ev[2] == _ADV:
                     wave.append(ev)
                 else:
                     self._n_deliver -= 1
                     self._deliver(ev[3], ev[4])
-            if heap:
-                # resumes the drained deliveries just scheduled
-                wave.extend(heap)
-                del heap[:]
-                wave.sort()
+                    drained.append((ev[0], ev[1], ev[3]))
+            # resumes the drained deliveries just scheduled
+            wave.extend(heap)
+            del heap[:]
+            wave.sort()
         else:
             wave = sorted(heap)
             del heap[:]
+            drained = []
         ops: List[Any] = []
         sr: List[int] = []
         batchable = True
-        for ev in wave:
+        # Members from ``cut`` on dispatch, in the object core, only after
+        # an earlier neutral member's resume has come due and its rank has
+        # run on; they are left to the scalar drain.
+        cut = len(wave)
+        due = float("inf")
+        cpu = self._cpu
+        for i, ev in enumerate(wave):
             st = states[ev[3]]
             try:
                 op = st.gen.send(ev[4])
@@ -343,32 +376,52 @@ class BatchedEngine(Engine):
                 ops.append(None)
                 continue
             ops.append(op)
+            if i >= cut:
+                continue
+            if ev[0] > due:
+                cut = i
+                continue
             cls = op.__class__
             # Members are batchable when they are benchmark-path
             # SendRecvs or *neutral* ops — Compute / Now / Mark dispatch
             # touches nothing shared (own clock + one resume event), so
-            # those commit in wave order with no time gate.
+            # those commit in wave order.
             if cls is SendRecv:
                 if op.send_payload is None:
-                    sr.append(len(ops) - 1)
+                    sr.append(i)
                 else:
                     batchable = False
             elif cls is Compute:
                 if op.seconds < 0:
                     batchable = False  # scalar path raises the error
-            elif cls is not Now and cls is not Mark:
+                else:
+                    due = min(due, ev[0] + cpu(ev[3], op.seconds))
+            elif cls is Now or cls is Mark:
+                due = min(due, ev[0])
+            else:
                 batchable = False
-        if batchable and len(wave) >= _MIN_VECTOR_WAVE:
+        if cut < len(wave) and (
+            {d[2] for d in drained} & {ev[3] for ev in wave[cut:]}
+        ):
+            # the scalar drain would number that resume after the seqs
+            # a commit of the head hands out
+            batchable = False
+        if batchable and cut >= _MIN_VECTOR_WAVE:
+            head = wave[:cut]
             if not sr:
-                self._commit_neutral_wave(wave, ops)
+                self._commit_neutral_wave(head, ops)
+                committed = True
+            else:
+                committed = (
+                    self._mb_count == 0
+                    and self._n_posted == 0
+                    and self._commit_sendrecv_wave(head, ops, sr)
+                )
+            if committed:
+                if cut < len(wave):
+                    self._drain_scalar(wave[cut:], ops[cut:], [])
                 return True
-            if (
-                self._mb_count == 0
-                and self._n_posted == 0
-                and self._commit_sendrecv_wave(wave, ops, sr)
-            ):
-                return True
-        self._drain_scalar(wave, ops)
+        self._drain_scalar(wave, ops, drained)
         return True
 
     def _commit_sendrecv_wave(
@@ -377,12 +430,12 @@ class BatchedEngine(Engine):
         """Vector-commit a lockstep pairwise-exchange round.
 
         ``sr`` indexes the SendRecv members; the rest of the wave must
-        be neutral (committed here too, first, in wave order).  Requires
-        a full bijective pairing *within* the SendRecv subset and that
-        every computed completion strictly follows the latest member
-        resume (otherwise the object core could interleave another
-        dispatch into this round).  Returns False — with no state
-        mutated — when ineligible.
+        be neutral (committed here too).  Requires a full bijective
+        pairing *within* the SendRecv subset and that every computed
+        completion strictly follows the latest member resume (otherwise
+        the object core could interleave another dispatch into this
+        round).  Returns False — with no state mutated — when
+        ineligible.
         """
         m = len(sr)
         nranks = self.nranks
@@ -487,9 +540,14 @@ class BatchedEngine(Engine):
         # i, its nbytes/protocol are the incoming message's).
         if isinstance(epr, np.ndarray):
             epr = epr[pair]
-        done = np.maximum(np.maximum(send_done, t), arrival[pair]) + epr
+        incoming = arrival[pair]
+        done = np.maximum(np.maximum(send_done, t), incoming) + epr
         if not done.min() > wave[-1][0]:
             return False  # a completion could overtake a member resume
+        neutral = (
+            self._neutral_resumes(wave, ops, frozenset(sr))
+            if m != len(wave) else []
+        )
 
         arrival_f = arrival.tolist()
         ser_f = ser.tolist()
@@ -514,71 +572,138 @@ class BatchedEngine(Engine):
             r = wave[w][3]
             sends[r] = sends.get(r, 0) + 1
 
-        # Neutral members first: the object core hands out their resume
-        # seqs at dispatch (wave order), before the delivery-time seqs.
-        if m != len(wave):
-            self._commit_neutral_wave(wave, ops, skip=set(sr), defer=True)
-
-        # SendRecv resumes are heap-ordered by (done, seq); the object
-        # core hands out member i's resume seq when the deliver of its
-        # *incoming* message pops — ordered by that message's arrival,
-        # ties broken by its deliver seq, which was assigned when the
-        # partner pair[i] dispatched its send (wave order).
+        # Events get their seqs in the order the object core creates
+        # them.  Dispatches run in wave order at the members' resume
+        # times: a neutral member's resume, a SendRecv member's outgoing
+        # delivery and then, if its incoming message already landed (a
+        # mailbox hit), its resume.  Any other SendRecv resume is created
+        # when its incoming delivery pops: by arrival, after equal-time
+        # dispatches (the delivery's seq is newer), then in the order the
+        # senders dispatched.  Such a resume is scheduled here only if
+        # its delivery pops before every resume scheduled here comes due.
+        # Otherwise a rank runs on first, creating events the object core
+        # numbers before it, so the delivery itself is queued with the
+        # recv left posted, and completes on the scalar path.
+        w_sr = np.asarray(sr, dtype=np.intp)
+        hit = incoming < t
+        direct = hit.copy()
+        due = min([res[1] for res in neutral] + done[hit].tolist(),
+                  default=np.inf)
+        pops = np.lexsort((w_sr[pair], incoming))
+        pops = pops[~hit[pops]]
+        if len(pops):
+            # each delivery must pop before the earliest resume due so far
+            first_due = np.minimum.accumulate(
+                np.concatenate(([due], done[pops]))
+            )[:-1]
+            ok = incoming[pops] < first_due
+            direct[pops[: len(ok) if ok.all() else int(ok.argmin())]] = True
+        late = direct & ~hit
+        w_all = np.concatenate((
+            np.where(hit, w_sr, w_sr[pair]),
+            np.array([res[0] for res in neutral], dtype=np.intp),
+        ))
+        t_all = np.concatenate((
+            np.where(late, incoming, np.where(hit, t, t[pair])),
+            np.array([wave[res[0]][0] for res in neutral]),
+        ))
+        order = np.lexsort((
+            np.concatenate((hit, np.zeros(len(neutral), bool))),
+            w_all,
+            np.concatenate((late, np.zeros(len(neutral), bool))),
+            t_all,
+        ))
+        direct_f = direct.tolist()
+        incoming_f = incoming.tolist()
+        pair_f = pair.tolist()
+        states = self._states
         heap = self._events
         seq = self._seq
-        states = self._states
-        for i in np.lexsort((pair, arrival[pair])).tolist():
-            d = done_f[i]
+        for i in order.tolist():
+            if i >= m:
+                _, d, r, value = neutral[i - m]
+                states[r].time = d
+                heap.append((d, next(seq), _ADV, r, value))
+                continue
             r = wave[sr[i]][3]
-            states[r].time = d
-            heap.append((d, next(seq), _ADV, r, None))
+            if direct_f[i]:
+                states[r].time = done_f[i]
+                heap.append((done_f[i], next(seq), _ADV, r, None))
+                continue
+            j = pair_f[i]
+            st = states[r]
+            src = wave[sr[j]][3]
+            st.waiting = (src, int(rtags[i]))
+            st.recv_floor = max(float(send_done[i]), float(t[i]))
+            self._n_deliver += 1
+            heap.append((incoming_f[i], next(seq), _DELIVER, r, _Message(
+                src=src, tag=int(stags[j]), nbytes=int(nb[j]), payload=None,
+                arrival=incoming_f[i], pipelined=bool(rdzv[j]),
+            )))
         heapq.heapify(heap)
         return True
 
-    def _commit_neutral_wave(
-        self,
-        wave: List[tuple],
-        ops: List[Any],
-        skip: Optional[set] = None,
-        defer: bool = False,
-    ) -> None:
-        """Commit neutral members (Compute / Now / Mark / finished) in
-        wave order — their dispatches touch no shared engine state, so
-        no time gate is needed."""
+    def _neutral_resumes(
+        self, wave: List[tuple], ops: List[Any], skip: frozenset = frozenset()
+    ) -> List[tuple]:
+        """``(w, time, rank, value)`` resumes of the neutral members
+        (Compute / Now / Mark; finished ranks have none) in wave order."""
+        cpu = self._cpu
+        out = []
+        for i, ev in enumerate(wave):
+            op = ops[i]
+            if op is None or i in skip:
+                continue
+            t = ev[0]
+            cls = op.__class__
+            d = t + cpu(ev[3], op.seconds) if cls is Compute else t
+            out.append((i, d, ev[3], t if cls is Now else None))
+        return out
+
+    def _commit_neutral_wave(self, wave: List[tuple], ops: List[Any]) -> None:
+        """Commit an all-neutral wave: resumes in wave order."""
         heap = self._events
         seq = self._seq
         states = self._states
-        cpu = self._cpu
-        for i, ev in enumerate(wave):
-            if skip is not None and i in skip:
-                continue
-            op = ops[i]
-            if op is None:
-                continue
-            r = ev[3]
-            t = ev[0]
-            cls = op.__class__
-            if cls is Compute:
-                d = t + cpu(r, op.seconds)
-                states[r].time = d
-                heap.append((d, next(seq), _ADV, r, None))
-            elif cls is Now:
-                heap.append((t, next(seq), _ADV, r, t))
-            else:  # Mark (no trace in fast mode)
-                heap.append((t, next(seq), _ADV, r, None))
-        if not defer:
-            heapq.heapify(heap)
+        for _, d, r, value in self._neutral_resumes(wave, ops):
+            states[r].time = d
+            heap.append((d, next(seq), _ADV, r, value))
+        heapq.heapify(heap)
 
-    def _drain_scalar(self, wave: List[tuple], ops: List[Any]) -> None:
+    def _drain_scalar(
+        self, wave: List[tuple], ops: List[Any], drained: List[tuple]
+    ) -> None:
         """Dispatch an already-resumed wave in exact object-core order,
-        interleaving any events the dispatches schedule."""
+        interleaving any events the dispatches schedule.
+
+        ``drained`` lists ``(time, seq, dest)`` of the deliveries the
+        wave drained ahead of time, in heap order.  The object core
+        hands out each one's resume seq only when that delivery pops,
+        i.e. after every event keyed before it — including events
+        scheduled right here.  So each drained resume is re-numbered
+        with a fresh seq the moment the merge passes its delivery's
+        key; that keeps equal-time ties in the object core's order.
+        The wave's own order is unaffected: fresh seqs are issued in
+        delivery order and exceed every older seq in the wave.
+        """
         heap = self._events
         pop = heapq.heappop
+        seq = self._seq
+        at = {ev[3]: w for w, ev in enumerate(wave)} if drained else None
+        d = 0
+        nd = len(drained)
         i = 0
         m = len(wave)
         while i < m:
             ev = wave[i]
-            if heap and heap[0] < ev:
+            nxt = heap[0] if heap and heap[0] < ev else ev
+            if d < nd and drained[d] < nxt:
+                w = at[drained[d][2]]
+                old = wave[w]
+                wave[w] = (old[0], next(seq), _ADV, old[3], old[4])
+                d += 1
+                continue
+            if nxt is not ev:
                 self._exec(pop(heap))
                 continue
             op = ops[i]
@@ -721,50 +846,6 @@ class BatchedEngine(Engine):
             return arrival
         return inject_done
 
-    def _do_send_async(
-        self, src: int, t: float, dest: int, tag: int, nbytes: int, payload: Any
-    ) -> Tuple[float, float]:
-        if not (0 <= dest < self.nranks):
-            raise ValueError(f"send to invalid rank {dest}")
-        if dest == src:
-            raise ValueError("self-sends are not supported (use local state)")
-        wire = self._wire(src, dest, nbytes)
-        pipelined = wire.protocol == "rendezvous"
-        t += self._retransmit_delay(src, dest, t)
-        inject_done = t + self._cpu(src, self._ep(src, nbytes, pipelined))
-        if self._rank_failed(dest):
-            self.stats.messages_lost += 1
-            if self._trace is not None:
-                self._trace.event(
-                    "send", src, t, dest=dest, nbytes=nbytes,
-                    protocol=wire.protocol, lost=True,
-                )
-            return inject_done, float("inf")
-        head_at_dest = inject_done + wire.latency_seconds
-        if wire.protocol == "shm":
-            arrival = head_at_dest + wire.serial_seconds
-        else:
-            start_ingest = max(head_at_dest, self._ingress_free[dest])
-            arrival = start_ingest + wire.serial_seconds
-            self._ingress_free[dest] = arrival
-            self._ingress_busy[dest] += wire.serial_seconds
-        msg = _Message(
-            src=src,
-            tag=tag,
-            nbytes=nbytes,
-            payload=payload,
-            arrival=arrival,
-            pipelined=pipelined,
-        )
-        self.stats.record(src, nbytes, wire.protocol, wire.hops)
-        if self._trace is not None:
-            self._trace.event(
-                "send", src, t, dest=dest, nbytes=nbytes,
-                protocol=wire.protocol, hops=wire.hops, arrival=arrival,
-            )
-        self._sched_deliver(arrival, dest, msg)
-        return inject_done, arrival
-
     def _deliver(self, dest: int, msg: _Message) -> None:
         state = self._states[dest]
         key = (msg.src, msg.tag)
@@ -811,30 +892,6 @@ class BatchedEngine(Engine):
                 "recv", rank, done, source=msg.src, nbytes=msg.nbytes,
             )
         self._sched_adv(done, rank, msg.payload)
-
-    def _wake_if_ready(self, rank: int) -> None:
-        state = self._states[rank]
-        if state.blocked_on is None:
-            return
-        reqs = [state.requests[rid] for rid in state.blocked_on]
-        if not all(r.done for r in reqs):
-            return
-        ids = state.blocked_on
-        state.blocked_on = None
-        t = state.time
-        payloads = []
-        for r in reqs:
-            t = max(t, r.done_time)
-            if r.kind == "recv":
-                t += self._cpu(
-                    rank, self._ep(rank, r.nbytes, r.pipelined)
-                )
-            payloads.append(r.payload if r.kind == "recv" else None)
-        state.time = t
-        for rid in ids:
-            del state.requests[rid]
-        value = payloads[0] if len(ids) == 1 else payloads
-        self._sched_adv(t, rank, value)
 
     def _note_irecv_posted(self) -> None:
         self._n_posted += 1

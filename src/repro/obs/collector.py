@@ -221,11 +221,11 @@ def document_digest(doc: Dict[str, Any]) -> str:
 
 
 def _base_meta(sha: Any = "auto") -> Dict[str, Any]:
-    from ..mpi.simcore import get_sim_core
-
     return {
         "git_sha": git_sha() if sha == "auto" else sha,
-        "sim_core": get_sim_core(),
+        # Every world runs a BatchedEngine; the key stays so document
+        # digests, goldens and stored trend history remain unchanged.
+        "sim_core": "batched",
     }
 
 

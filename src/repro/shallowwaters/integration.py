@@ -23,11 +23,11 @@ The RK4 stage arithmetic itself always runs in the working dtype: the
 tendencies are already per-step increments (premultiplied by dt), so
 stage combinations are sums of O(1e-3..1) quantities.
 
-For plain ndarray states the stepping is delegated to the fused
-allocation-free kernels of :mod:`repro.shallowwaters.kernels`, which
-replicate this module's arithmetic bit-for-bit (pinned by the
-differential tests); pass ``fused=False`` (or set ``REPRO_FUSED_SW=0``)
-to force the reference path below.
+Whenever :func:`repro.shallowwaters.kernels.make_fused` returns a
+stepper for the bound state (plain ndarrays), the stepping is delegated
+to those fused allocation-free kernels, which replicate this module's
+arithmetic bit-for-bit (pinned by the differential tests); otherwise
+the reference path below runs.
 """
 
 from __future__ import annotations
@@ -48,9 +48,7 @@ __all__ = ["RK4Integrator"]
 class RK4Integrator:
     """Classic 4th-order Runge-Kutta stepping of the scaled state."""
 
-    def __init__(
-        self, params: ShallowWaterParams, fused: Optional[bool] = None
-    ):
+    def __init__(self, params: ShallowWaterParams):
         self.params = params
         self.dtype = params.np_dtype
         self.mode = params.integration
@@ -64,8 +62,6 @@ class RK4Integrator:
                 raise ValueError("mixed integration targets narrow formats")
         else:
             self.state_dtype = self.dtype
-        #: None = auto (fused for plain ndarrays unless disabled).
-        self._fused_opt = fused
         self._fused = None
         self._acc_u: Optional[CompensatedAccumulator] = None
         self._acc_v: Optional[CompensatedAccumulator] = None
@@ -82,17 +78,11 @@ class RK4Integrator:
                 f"state dtype {state.dtype} != integrator state dtype "
                 f"{self.state_dtype}"
             )
-        if self._fused_opt is not False:
-            from . import kernels
+        from . import kernels
 
-            self._fused = kernels.make_fused(
-                self.params, self.coeffs, self.state_dtype, state
-            )
-            if self._fused is None and self._fused_opt is True:
-                raise ValueError(
-                    "fused stepping requested but unsupported for this "
-                    "state/configuration"
-                )
+        self._fused = kernels.make_fused(
+            self.params, self.coeffs, self.state_dtype, state
+        )
         if self._fused is not None:
             self._fused.bind(state)
             return self.current_state()

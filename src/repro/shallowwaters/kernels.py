@@ -33,14 +33,14 @@ drag constants, premultiplied tendencies) is inherited untouched — the
 kernel is a transcription of :func:`repro.shallowwaters.rhs.tendencies`,
 not a reformulation.
 
-Set ``REPRO_FUSED_SW=0`` (or pass ``fused=False`` to
-:class:`~repro.shallowwaters.integration.RK4Integrator`) to force the
-reference path.
+:func:`make_fused` picks the stepper from the input: plain ndarray
+states on periodic/channel grids get a fused stepper, anything else
+(Sherlog arrays, other boundaries or dtypes) gets ``None`` and the
+reference path runs.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 import numpy as np
@@ -48,7 +48,7 @@ import numpy as np
 from .params import CastCoefficients, ShallowWaterParams
 from .rhs import State
 
-__all__ = ["FusedTendencies", "FusedRK4", "round16_", "fused_enabled", "make_fused"]
+__all__ = ["FusedTendencies", "FusedRK4", "round16_", "make_fused"]
 
 #: float32 exponent-field mask.
 _EXP_MASK = np.uint32(0x7F800000)
@@ -70,11 +70,6 @@ _F16_MAX_BITS = np.uint32(0x477FE000)
 _F16_SUBMIN_TOP = np.uint32(0x387FFFFF)
 #: Float16 minimum normal magnitude (for flush-to-zero masks).
 _F16_MIN_NORMAL = np.float32(2.0**-14)
-
-
-def fused_enabled() -> bool:
-    """Process-wide kill switch (``REPRO_FUSED_SW=0`` disables fusion)."""
-    return os.environ.get("REPRO_FUSED_SW", "1") != "0"
 
 
 # ---------------------------------------------------------------------------
@@ -763,9 +758,7 @@ def make_fused(
     state: State,
 ) -> Optional[FusedRK4]:
     """A fused stepper for this configuration, or ``None`` when the
-    reference path must run (exotic array types, kill switch)."""
-    if not fused_enabled():
-        return None
+    reference path must run (exotic array types, boundaries, dtypes)."""
     if params.boundary not in ("periodic", "channel"):
         return None
     for arr in (state.u, state.v, state.eta):

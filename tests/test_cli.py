@@ -132,6 +132,26 @@ class TestEngineCommands:
         assert "1 quarantined corrupt entry" in out
         assert "fig5-ci.json.corrupt" in out
 
+    def test_retired_core_switches_are_inert(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """The event core and the ShallowWaters stepper are chosen from
+        the input alone: the environment variables that once selected
+        them change neither the exit status nor the metric document."""
+        from repro.obs.collector import MetricsStore
+
+        def digest(store):
+            assert main(["run", "fig2", "--quiet",
+                         "--metrics-dir", store]) == 0
+            capsys.readouterr()
+            (doc,) = [d for _, d in MetricsStore(store).load_last()]
+            return doc["digest"]
+
+        clean = digest(str(tmp_path / "clean"))
+        monkeypatch.setenv("REPRO_SIM_CORE", "bogus")
+        monkeypatch.setenv("REPRO_FUSED_SW", "0")
+        assert digest(str(tmp_path / "env")) == clean
+
 
 class TestFaultCommands:
     def test_bad_fault_spec_exits_2(self, capsys):

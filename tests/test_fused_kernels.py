@@ -4,7 +4,9 @@ The fused allocation-free steppers in :mod:`repro.shallowwaters.kernels`
 must replicate the reference integrator *bit for bit* — including the
 Float16 float32-shadow arithmetic, compensated/mixed updates, channel
 walls, subnormal flushing, and overflow blow-ups.  These tests pin that
-contract and the escape hatches around it.
+contract and the input-driven dispatch around it.  The reference
+stepper is reached only through :func:`reference_integrator`, which
+makes ``kernels.make_fused`` decline for one integrator's ``bind``.
 """
 
 import numpy as np
@@ -16,7 +18,17 @@ from repro.shallowwaters import (
     ShallowWaterParams,
     State,
 )
-from repro.shallowwaters.kernels import fused_enabled, make_fused, round16_
+from repro.shallowwaters import kernels
+from repro.shallowwaters.kernels import make_fused, round16_
+
+
+def reference_integrator(params, state):
+    """An integrator bound to ``state`` on the unfused reference path."""
+    integ = RK4Integrator(params)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "make_fused", lambda *args: None)
+        integ.bind(state)
+    return integ
 
 
 def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -152,9 +164,8 @@ CONFIGS = {
 def test_fused_matches_reference_bitwise(name):
     p, init = CONFIGS[name]
     steps = 6
-    ref = RK4Integrator(p, fused=False)
-    ref.bind(ShallowWaterModel(p).initial_state(init))
-    fus = RK4Integrator(p, fused=True)
+    ref = reference_integrator(p, ShallowWaterModel(p).initial_state(init))
+    fus = RK4Integrator(p)
     fus.bind(ShallowWaterModel(p).initial_state(init))
     assert fus._fused is not None and ref._fused is None
     for step in range(steps):
@@ -171,10 +182,12 @@ def test_blowup_parity():
         nx=32, ny=16, dtype="float16", scaling=2.0**15,
         integration="standard",
     )
-    ref = RK4Integrator(p, fused=False)
-    ref.bind(ShallowWaterModel(p).initial_state("turbulence"))
-    fus = RK4Integrator(p, fused=True)
+    ref = reference_integrator(
+        p, ShallowWaterModel(p).initial_state("turbulence")
+    )
+    fus = RK4Integrator(p)
     fus.bind(ShallowWaterModel(p).initial_state("turbulence"))
+    assert fus._fused is not None and ref._fused is None
     saw_nonfinite = False
     for _ in range(12):
         a = ref.step()
@@ -190,37 +203,14 @@ def test_blowup_parity():
 
 
 # ---------------------------------------------------------------------------
-# Escape hatches and dispatch
+# Dispatch from the input
 # ---------------------------------------------------------------------------
 class TestDispatch:
     def test_auto_uses_fused_for_plain_arrays(self):
         p = ShallowWaterParams(nx=16, ny=8)
-        integ = RK4Integrator(p)  # fused=None: auto
-        integ.bind(ShallowWaterModel(p).initial_state("rest"))
-        assert integ._fused is not None
-
-    def test_env_kill_switch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSED_SW", "0")
-        assert not fused_enabled()
-        p = ShallowWaterParams(nx=16, ny=8)
         integ = RK4Integrator(p)
         integ.bind(ShallowWaterModel(p).initial_state("rest"))
-        assert integ._fused is None  # reference path engaged
-        integ.step()
-
-    def test_fused_false_forces_reference(self):
-        p = ShallowWaterParams(nx=16, ny=8)
-        integ = RK4Integrator(p, fused=False)
-        integ.bind(ShallowWaterModel(p).initial_state("rest"))
-        assert integ._fused is None
-        integ.step()
-
-    def test_fused_true_unsupported_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSED_SW", "0")
-        p = ShallowWaterParams(nx=16, ny=8)
-        integ = RK4Integrator(p, fused=True)
-        with pytest.raises(ValueError, match="fused stepping requested"):
-            integ.bind(ShallowWaterModel(p).initial_state("rest"))
+        assert integ._fused is not None
 
     def test_make_fused_rejects_array_subclasses(self):
         p = ShallowWaterParams(nx=16, ny=8)

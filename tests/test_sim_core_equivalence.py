@@ -1,43 +1,50 @@
 """Differential equivalence: the batched core must be byte-identical
 to the object core.
 
-The batched engine (``--sim-core batched``) reorders *execution* —
-memoised timing tables, drained deliveries, vectorised wave commits —
-but must never reorder *observable behaviour*: every rank's virtual
-times, returned values, and the run's traffic statistics have to match
-the object core bit for bit.  These tests pin that contract:
+Every :class:`~repro.mpi.comm.MPIWorld` runs the batched engine, which
+reorders *execution* — memoised timing tables, drained deliveries,
+vectorised wave commits — but must never reorder *observable
+behaviour*: every rank's virtual times, returned values, and the run's
+traffic statistics have to match the object core bit for bit.  The
+object core is reached only through :func:`object_core`, which swaps it
+in for the engine class ``MPIWorld.run`` instantiates.  These tests pin
+that contract:
 
 * figure-level equality on the real Fig. 2/3 workloads (reduced size);
 * CLI-level equality across ``--jobs``, ``--faults``, ``--guard
-  observe`` and ``--resume`` (the modes the exec layer can combine
-  with ``--sim-core``);
+  observe`` and ``--resume`` (pool workers fork, so they inherit the
+  swap);
 * a hypothesis property test over randomly composed rank programs —
-  mixed SendRecv rings, collectives, compute, odd topologies and
-  per-rank bindings — which is the backstop for event-order tie
+  mixed SendRecv rings, collectives, compute, odd topologies, per-rank
+  bindings and fault plans — which is the backstop for event-order tie
   handling at the vector/scalar boundary;
 * the dense hop matrix against the scalar dimension-ordered router.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import operator
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import figures
 from repro.mpi import Comm, MPIWorld
-from repro.mpi import simcore
+from repro.mpi import comm as comm_module
 from repro.mpi.bindings import IMB_C, MPI_JL
-from repro.mpi.faults import parse_fault_spec
+from repro.mpi.faults import FAULT_PRESETS, parse_fault_spec
+from repro.mpi.simulator import Engine, RankFailedError
 from repro.mpi.topology import TofuDTopology
 
 
-@pytest.fixture(autouse=True)
-def _reset_core():
-    yield
-    simcore.set_sim_core(None)
+@contextlib.contextmanager
+def object_core():
+    """Run the enclosed code on the reference object core."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(comm_module, "BatchedEngine", Engine)
+        yield
 
 
 def _stats_doc(world: MPIWorld) -> dict:
@@ -53,12 +60,20 @@ def _stats_doc(world: MPIWorld) -> dict:
     }
 
 
+def _run_world(make_world, program, *args):
+    """``(results, stats)`` of one run, or ``(error message, None)``
+    when the run raises :class:`RankFailedError`."""
+    world = make_world()
+    try:
+        return world.run(program, *args), _stats_doc(world)
+    except RankFailedError as exc:
+        return str(exc), None
+
+
 def _both_cores(make_world, program, *args):
-    outs = {}
-    for core in ("object", "batched"):
-        world = make_world(core)
-        outs[core] = (world.run(program, *args), _stats_doc(world))
-    return outs["object"], outs["batched"]
+    with object_core():
+        ref = _run_world(make_world, program, *args)
+    return ref, _run_world(make_world, program, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -66,9 +81,8 @@ def _both_cores(make_world, program, *args):
 # ---------------------------------------------------------------------------
 class TestFigureEquality:
     def test_fig2_identical(self):
-        simcore.set_sim_core("object")
-        ro = figures.fig2_pingpong()
-        simcore.set_sim_core("batched")
+        with object_core():
+            ro = figures.fig2_pingpong()
         rb = figures.fig2_pingpong()
         assert json.dumps(ro, sort_keys=True, default=repr) == json.dumps(
             rb, sort_keys=True, default=repr
@@ -78,9 +92,8 @@ class TestFigureEquality:
         run = lambda: figures.fig3_collectives(
             sizes=[4, 1024, 262144], nranks=96, repetitions=2
         )
-        simcore.set_sim_core("object")
-        ro = run()
-        simcore.set_sim_core("batched")
+        with object_core():
+            ro = run()
         rb = run()
         assert json.dumps(ro, sort_keys=True, default=repr) == json.dumps(
             rb, sort_keys=True, default=repr
@@ -90,10 +103,9 @@ class TestFigureEquality:
 # ---------------------------------------------------------------------------
 # CLI-level equality (exec-engine modes)
 # ---------------------------------------------------------------------------
-def _cli(capsys, monkeypatch, *argv: str) -> str:
+def _cli(capsys, *argv: str) -> str:
     from repro.cli import main
 
-    monkeypatch.delenv("REPRO_SIM_CORE", raising=False)
     code = main(list(argv))
     out = capsys.readouterr().out
     assert code in (0, 1), f"repro {' '.join(argv)} exited {code}"
@@ -101,32 +113,30 @@ def _cli(capsys, monkeypatch, *argv: str) -> str:
 
 
 class TestCLIEquality:
-    def test_plain_and_jobs(self, capsys, monkeypatch, tmp_path):
-        base = _cli(capsys, monkeypatch,
-                    "run", "fig2", "--quiet", "--sim-core", "object")
-        for extra in (["--sim-core", "batched"],
-                      ["--sim-core", "batched", "--jobs", "2"]):
-            got = _cli(capsys, monkeypatch, "run", "fig2", "--quiet", *extra)
+    def test_plain_and_jobs(self, capsys):
+        with object_core():
+            base = _cli(capsys, "run", "fig2", "--quiet")
+        for extra in ([], ["--jobs", "2"]):
+            got = _cli(capsys, "run", "fig2", "--quiet", *extra)
             assert got == base, f"fig2 output drifted under {extra}"
 
-    def test_faults_and_guard_observe(self, capsys, monkeypatch):
+    def test_faults_and_guard_observe(self, capsys):
         for mode in (["--faults", "lossy", "--seed", "1"],
                      ["--guard", "observe"]):
-            ref = _cli(capsys, monkeypatch, "run", "fig2", "--quiet",
-                       "--sim-core", "object", *mode)
-            got = _cli(capsys, monkeypatch, "run", "fig2", "--quiet",
-                       "--sim-core", "batched", *mode)
+            with object_core():
+                ref = _cli(capsys, "run", "fig2", "--quiet", *mode)
+            got = _cli(capsys, "run", "fig2", "--quiet", *mode)
             assert got == ref, f"fig2 output drifted under {mode}"
 
-    def test_resume_across_cores(self, capsys, monkeypatch, tmp_path):
+    def test_resume_across_cores(self, capsys, tmp_path):
         """A journal written under one core restores byte-identically
         under the other (results are core-independent, so a resumed run
         may freely switch cores)."""
         journal = str(tmp_path / "run.jnl")
-        base = _cli(capsys, monkeypatch, "run", "fig2", "--quiet",
-                    "--sim-core", "batched", "--journal", journal)
-        resumed = _cli(capsys, monkeypatch, "run", "fig2", "--quiet",
-                       "--sim-core", "object", "--resume", journal)
+        base = _cli(capsys, "run", "fig2", "--quiet", "--journal", journal)
+        with object_core():
+            resumed = _cli(capsys, "run", "fig2", "--quiet",
+                           "--resume", journal)
         assert resumed == base
 
 
@@ -144,6 +154,9 @@ PHASE = st.one_of(
     st.tuples(st.just("ring"), st.sampled_from([32, 70000]),
               st.integers(1, 3)),
     st.tuples(st.just("compute"), st.integers(0, 5)),
+    st.tuples(st.just("xchg"), st.sampled_from([8, 4096, 70000]),
+              st.integers(0, 3)),
+    st.tuples(st.just("now")),
 )
 
 
@@ -175,10 +188,28 @@ def _composed(phases):
                 )
             elif kind == "compute":
                 yield comm.compute(phase[1] * (comm.rank % 3 + 1) * 1e-7)
+            elif kind == "xchg":
+                # payload-free pairwise exchange (the vector-commit path)
+                # on its own tag, so a faster message from another phase
+                # cannot overtake it; an unpaired rank computes instead
+                partner = comm.rank ^ (1 << phase[2])
+                if partner < comm.size:
+                    yield comm.sendrecv(partner, phase[1], partner,
+                                        send_tag=7, recv_tag=7)
+                else:
+                    yield comm.compute(1e-7)
+            elif kind == "now":
+                yield comm.now()
         t = yield comm.now()
         return (acc, t)
 
     return program
+
+
+FAULTS = st.one_of(
+    st.none(),
+    st.tuples(st.sampled_from(sorted(FAULT_PRESETS)), st.integers(0, 1000)),
+)
 
 
 @settings(max_examples=30, deadline=None)
@@ -187,8 +218,31 @@ def _composed(phases):
     rpn=st.sampled_from([1, 2, 4]),
     phases=st.lists(PHASE, min_size=1, max_size=6),
     binding_mix=st.sampled_from(["imb", "jl", "mixed"]),
+    faults=FAULTS,
 )
-def test_random_programs_equivalent(nranks, rpn, phases, binding_mix):
+# Deliver-drain regressions: a drained delivery's resume must take its
+# event sequence number where the object core would hand it out, or
+# equal-time resumes dispatch in the wrong order (ranks 5/6 swap here)...
+@example(nranks=8, rpn=4, binding_mix="imb", faults=None,
+         phases=[("barrier",), ("ring", 32, 2), ("allreduce", 8),
+                 ("gatherv", 70000, 0)])
+# ...and the same for a resume the object core runs between two drained
+# deliveries (rank 0's time drifts here).
+@example(nranks=16, rpn=2, binding_mix="jl", faults=None,
+         phases=[("bcast", 70000), ("allreduce", 8), ("gatherv", 2048, 0)])
+# Wave-commit regressions: a rank whose compute ends before a later
+# member dispatches runs on first — ahead of a SendRecv member's send...
+@example(nranks=13, rpn=2, binding_mix="imb", faults=None,
+         phases=[("barrier",), ("xchg", 8, 1), ("allreduce", 4096)])
+# ...or ahead of a later compute member's resume...
+@example(nranks=13, rpn=4, binding_mix="jl", faults=None,
+         phases=[("compute", 3), ("now",), ("barrier",), ("now",)])
+# ...and a rank that resumes before another member's incoming delivery
+# pops runs on before the object core creates that member's resume.
+@example(nranks=11, rpn=2, binding_mix="imb", faults=None,
+         phases=[("xchg", 8, 1), ("xchg", 8, 2), ("barrier",), ("now",)])
+def test_random_programs_equivalent(nranks, rpn, phases, binding_mix,
+                                    faults):
     kwargs = {}
     if binding_mix == "imb":
         kwargs["binding"] = IMB_C
@@ -199,13 +253,13 @@ def test_random_programs_equivalent(nranks, rpn, phases, binding_mix):
         kwargs["bindings_by_rank"] = {
             r: MPI_JL for r in range(0, nranks, 2)
         }
-    make = lambda core: MPIWorld(nranks=nranks, ranks_per_node=rpn,
-                                 sim_core=core, **kwargs)
-    (out_o, stats_o), (out_b, stats_b) = _both_cores(
-        make, _composed(phases)
+    plan = None if faults is None else parse_fault_spec(
+        faults[0], seed=faults[1]
     )
-    assert out_o == out_b
-    assert stats_o == stats_b
+    make = lambda: MPIWorld(nranks=nranks, ranks_per_node=rpn,
+                            faults=plan, **kwargs)
+    ref, got = _both_cores(make, _composed(phases))
+    assert got == ref
 
 
 def test_same_tag_overtaking_matches_object_core():
@@ -215,25 +269,21 @@ def test_same_tag_overtaking_matches_object_core():
     batched deliver-drain must not commit the pending large delivery
     while the source still has an earlier scheduled event (found by the
     property test above: nranks=2, phases gatherv 2048 then 16)."""
-    make = lambda core: MPIWorld(nranks=2, ranks_per_node=2,
-                                 sim_core=core, binding=IMB_C)
+    make = lambda: MPIWorld(nranks=2, ranks_per_node=2, binding=IMB_C)
     program = _composed([("gatherv", 2048, 0), ("gatherv", 16, 0)])
-    (out_o, stats_o), (out_b, stats_b) = _both_cores(make, program)
-    assert out_o == out_b
-    assert stats_o == stats_b
+    ref, got = _both_cores(make, program)
+    assert got == ref
 
 
 def test_faulted_world_equivalent():
     """With a fault plan the batched engine runs its scalar path — the
     outputs (including lost-message effects) must still match."""
     plan = parse_fault_spec("lossy", seed=3)
-    make = lambda core: MPIWorld(nranks=12, ranks_per_node=2,
-                                 faults=plan, sim_core=core)
+    make = lambda: MPIWorld(nranks=12, ranks_per_node=2, faults=plan)
     program = _composed([("barrier",), ("allreduce", 256),
                          ("ring", 32, 1)])
-    (out_o, stats_o), (out_b, stats_b) = _both_cores(make, program)
-    assert out_o == out_b
-    assert stats_o == stats_b
+    ref, got = _both_cores(make, program)
+    assert got == ref
 
 
 # ---------------------------------------------------------------------------
