@@ -598,7 +598,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sstart_p.add_argument(
         "--poll", type=float, default=0.5, metavar="S",
-        help="daemon control-loop interval (default: 0.5)",
+        help="longest the daemon's control loop sleeps between ticks; "
+        "submits, cancels, drains and worker exits wake it at once "
+        "(default: 0.5)",
     )
     sstart_p.add_argument(
         "--max-attempts", type=int, default=3, metavar="K",

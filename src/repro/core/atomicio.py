@@ -227,13 +227,16 @@ def orphan_tmp_files(
     if not directory.is_dir():
         return []
     out: List[Path] = []
-    for entry in sorted(directory.iterdir()):
-        m = _TMP_NAME_RE.match(entry.name)
-        if m is None or not entry.is_file():
-            continue
-        if force or not _pid_alive(int(m.group("pid"))):
-            out.append(entry)
-    return out
+    # Match names before making paths: a serve state dir holds a file
+    # per job, and every status request scans it.
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            m = _TMP_NAME_RE.match(entry.name)
+            if m is None or not entry.is_file():
+                continue
+            if force or not _pid_alive(int(m.group("pid"))):
+                out.append(directory / entry.name)
+    return sorted(out)
 
 
 def sweep_orphan_tmp(

@@ -4,7 +4,8 @@ A :class:`http.server.ThreadingHTTPServer` running in a daemon thread
 next to the control loop.  Every response is JSON; every mutation is
 one durable append to the job log, so the API adds no state of its
 own — a client talking to a daemon that dies mid-request loses at
-most the response, never the submit.
+most the response, never the submit.  A submit or cancel then wakes
+the control loop, so it acts at once instead of at its next poll.
 
 Endpoints::
 
@@ -69,14 +70,16 @@ def _routes(daemon: ServeDaemon, shutdown: threading.Event):
             job_id = store.submit(kind, spec)
         except ServeStoreError as exc:
             return 400, {"error": str(exc)}
+        daemon.wake()
         return 200, {"job_id": job_id, "kind": kind}
 
     def get_job(job_id: str) -> Tuple[int, Dict[str, Any]]:
+        state = store.load()
         try:
-            doc = store.get(job_id).as_dict()
+            doc = store.get(job_id, state).as_dict()
         except ServeStoreError as exc:
             return 404, {"error": str(exc)}
-        doc["store"] = store.health()
+        doc["store"] = store.health(state)
         doc["template"] = daemon.template.status()
         return 200, doc
 
@@ -130,6 +133,7 @@ def _routes(daemon: ServeDaemon, shutdown: threading.Event):
                 "error": f"{job_id} is already {job.status}",
             }
         store.job_cancelled(job_id)
+        daemon.wake()
         return 200, {"job_id": job_id, "status": "cancelled"}
 
     def drain() -> Tuple[int, Dict[str, Any]]:

@@ -7,6 +7,12 @@ state lives in the log, none in the process, so the loop is trivially
 crash-tolerant: a daemon killed between any two ticks restarts into
 exactly the state the log describes.
 
+Ticks run on events: a submit, cancel or drain through the API
+(:meth:`ServeDaemon.wake`) and a worker's exit report from the
+template wake the loop at once.  ``poll`` is only the longest it
+sleeps between ticks, which is what still drives lease expiry,
+backoff gates and noticing a dead template.
+
 Supervision rules (the job lifecycle state machine, see
 ``docs/SERVE.md``):
 
@@ -31,10 +37,12 @@ timeout) is ever re-dispatched.
 
 Workers are forked from one *worker template* (see
 :mod:`repro.serve.worker`), a process the daemon starts on its first
-tick that has already imported the ``run`` path.  Each worker runs in
-its own session, so a template that dies leaves its workers running;
-the daemon then watches them like a predecessor's orphans and starts
-a new template for the next lease.
+tick that has already imported the ``run`` path.  A lease hands the
+template the job's kind and spec, so a worker never replays the job
+log to find its job.  Each worker runs in its own session, so a
+template that dies leaves its workers running; the daemon then
+watches them like a predecessor's orphans and starts a new template
+for the next lease.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ import json
 import os
 import select
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -50,10 +59,10 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from ..exec.journal import RESUMABLE_EXIT_CODE
-from .store import JobStore, ServeState, job_backoff
+from .store import JobRecord, JobStore, ServeState, job_backoff
 
 __all__ = ["DaemonConfig", "ServeDaemon"]
 
@@ -94,6 +103,12 @@ class DaemonConfig:
             raise ValueError("lease timeout must be positive")
         if self.heartbeat <= 0:
             raise ValueError("heartbeat interval must be positive")
+        if self.heartbeat >= self.lease_timeout:
+            # Every lease would go stale between two heartbeats.
+            raise ValueError(
+                f"heartbeat interval ({self.heartbeat:g}s) must be "
+                f"shorter than the lease timeout ({self.lease_timeout:g}s)"
+            )
         if self.poll <= 0:
             raise ValueError("poll interval must be positive")
         if self.max_attempts < 1:
@@ -112,6 +127,7 @@ class _Template:
         self.forked = 0
         self.restarts = 0
         self._pending = b""
+        self._eof = False
         # Answers not yet claimed, and worker pid -> exit status.
         self._forks: List[int] = []
         self._started: List[int] = []
@@ -147,6 +163,7 @@ class _Template:
             src if not existing else f"{src}{os.pathsep}{existing}"
         )
         self._pending = b""
+        self._eof = False
         self._forks.clear()
         self._started.clear()
         self.proc = subprocess.Popen(
@@ -159,16 +176,24 @@ class _Template:
             start_new_session=True,
         )
 
+    def fileno(self) -> Optional[int]:
+        """The pipe the template reports on, while it can still say
+        something (``None`` once it has read EOF)."""
+        if self.proc is None or self.proc.stdout.closed or self._eof:
+            return None
+        return self.proc.stdout.fileno()
+
     def pump(self, timeout: float = 0.0) -> None:
         """Read what the template has reported, waiting up to
         ``timeout`` seconds for the first line."""
-        if self.proc is None or self.proc.stdout.closed:
+        fd = self.fileno()
+        if fd is None:
             return
-        fd = self.proc.stdout.fileno()
         while select.select([fd], [], [], timeout)[0]:
             data = os.read(fd, 65536)
             if not data:
-                return  # EOF: the template is gone
+                self._eof = True  # the template is gone
+                return
             *lines, self._pending = (self._pending + data).split(b"\n")
             for line in lines:
                 msg = json.loads(line)
@@ -191,10 +216,13 @@ class _Template:
             self.pump(min(remaining, 0.5))
         return answers.pop(0)
 
-    def fork(self, job_id: str, attempt: int, heartbeat: float) -> "_Worker":
+    def fork(
+        self, job: JobRecord, attempt: int, heartbeat: float
+    ) -> "_Worker":
         """Fork a worker for one lease; it waits for :meth:`release`."""
         pid = self._ask(
-            {"job": job_id, "attempt": attempt, "heartbeat": heartbeat},
+            {"job": job.job_id, "attempt": attempt, "heartbeat": heartbeat,
+             "kind": job.kind, "spec": job.spec},
             self._forks,
         )
         self.forked += 1
@@ -212,6 +240,11 @@ class _Template:
     def exit_status(self, pid: int) -> Optional[int]:
         self.pump()
         return self._exits.pop(pid, None)
+
+    def reported(self, pids: Set[int]) -> bool:
+        """True when an exit of one of ``pids`` has been read off the
+        pipe but not yet claimed."""
+        return not pids.isdisjoint(self._exits)
 
     def close(self) -> None:
         """Close the control pipe and reap the template."""
@@ -297,6 +330,10 @@ class ServeDaemon:
         #: watched die (``lease-expired``) from one inherited from a
         #: predecessor daemon (``daemon-restart``).
         self._mine: Set[str] = set()
+        #: The socket pair :meth:`wake` writes to while
+        #: :meth:`run_forever` runs.
+        self._wake: Optional[Tuple[socket.socket, socket.socket]] = None
+        self._wake_lock = threading.Lock()
         self._log = lambda msg: print(msg, file=sys.stderr, flush=True)
         # A predecessor may have died between temp-write and rename;
         # its orphaned temp files are dead weight, sweep them now.
@@ -347,6 +384,7 @@ class ServeDaemon:
         state = self.store.load()
 
         # 1. Reap workers this daemon owns.
+        exits: Dict[str, int] = {}
         for job_id, proc in list(self._procs.items()):
             code = proc.poll()
             if code is None:
@@ -359,6 +397,13 @@ class ServeDaemon:
                               f"{proc.pid} left to lease expiry")
                 continue
             del self._procs[job_id]
+            exits[job_id] = code
+        if exits:
+            # A worker appends its outcome before it exits: a state
+            # loaded before the exit was seen may lack that record,
+            # and would requeue a finished job.
+            state = self.store.load()
+        for job_id, code in exits.items():
             job = state.jobs.get(job_id)
             if job is None or job.status != "leased":
                 continue  # worker recorded its own outcome (or cancel won)
@@ -424,7 +469,7 @@ class ServeDaemon:
                 attempt = job.attempt + 1
                 try:
                     proc = self.template.fork(
-                        job.job_id, attempt, self.config.heartbeat
+                        job, attempt, self.config.heartbeat
                     )
                 except OSError as exc:
                     # The next tick starts a fresh template.
@@ -452,6 +497,31 @@ class ServeDaemon:
         return state
 
     # -- lifecycle ---------------------------------------------------------
+    def wake(self) -> None:
+        """Make :meth:`run_forever` tick now rather than at the end of
+        its poll.  Safe from any thread; a no-op while the loop is not
+        running."""
+        with self._wake_lock:
+            if self._wake is None:
+                return
+            try:
+                self._wake[1].send(b"\0")
+            except BlockingIOError:
+                pass  # the loop has plenty of wakes pending already
+
+    def _sleep(self, wake_r: socket.socket) -> None:
+        """Wait for a wake, a report from the template, or the end of
+        the poll, whichever comes first."""
+        if self.template.reported({p.pid for p in self._procs.values()}):
+            return  # an exit was read during the tick: reap it now
+        pipe = self.template.fileno()
+        fds = [wake_r] if pipe is None else [wake_r, pipe]
+        ready = select.select(fds, [], [], self.config.poll)[0]
+        if pipe in ready:
+            # Read it now: a pipe at EOF stays readable, and once read
+            # the template's fileno() no longer offers it.
+            self.template.pump()
+
     def run_forever(
         self, shutdown: Optional[threading.Event] = None
     ) -> int:
@@ -459,9 +529,31 @@ class ServeDaemon:
         process exit status (75 when unfinished jobs remain — the
         resumable contract)."""
         shutdown = shutdown or threading.Event()
-        while not shutdown.is_set():
-            self.tick()
-            shutdown.wait(self.config.poll)
+        wake = socket.socketpair()
+        for sock in wake:
+            sock.setblocking(False)
+        with self._wake_lock:
+            self._wake = wake
+        # Setting ``shutdown`` (a signal handler, the API's drain)
+        # wakes the loop as well.
+        threading.Thread(
+            target=lambda: shutdown.wait() and self.wake(), daemon=True,
+        ).start()
+        try:
+            while not shutdown.is_set():
+                # Clear before the tick, so a wake during it is kept.
+                try:
+                    while wake[0].recv(4096):
+                        pass
+                except BlockingIOError:
+                    pass
+                self.tick()
+                self._sleep(wake[0])
+        finally:
+            with self._wake_lock:
+                self._wake = None
+                for sock in wake:
+                    sock.close()
         return self.drain()
 
     def drain(self) -> int:

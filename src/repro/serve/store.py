@@ -36,15 +36,26 @@ it, so a worker that finishes after the cancel cannot resurrect the
 job.  Every record carries a wall-clock ``t``; time drives *lease
 expiry and backoff gating only*, never results or digests, so the
 queue's outputs stay deterministic while its scheduling is temporal.
+
+Replay is incremental: a :class:`JobStore` keeps the fold of the
+log's complete lines and the byte offset it reached, and each
+:meth:`JobStore.load` folds only what was appended since.  That rests
+on one contract: ``jobs.log`` is append-only.  Every writer goes
+through ``_append_locked`` or :func:`repair_torn_tail`, and those only
+ever drop an incomplete final line, never a complete one.  A log that
+was replaced (new inode) or shrank below the offset is replayed from
+the start, and a new process always starts with a full replay.
 """
 
 from __future__ import annotations
 
+import copy
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Set, Union
 
 from ..core.atomicio import (
     FileLock,
@@ -178,8 +189,13 @@ class ServeState:
         return [j for j in self.jobs.values() if not j.terminal]
 
 
-def _apply(state: ServeState, rec: Dict[str, Any]) -> None:
-    """Fold one decoded record into the replayed state."""
+def _apply(state: ServeState, rec: Dict[str, Any], owned: Set[str]) -> None:
+    """Fold one decoded record into the replayed state.
+
+    ``owned`` names the records of ``state`` that no snapshot shares;
+    any other record is copied before its first change, so a state
+    handed out earlier never changes under its holder.
+    """
     kind = rec.get("type")
     t = float(rec.get("t", 0.0))
     if kind == "job_submitted":
@@ -190,12 +206,16 @@ def _apply(state: ServeState, rec: Dict[str, Any]) -> None:
             submitted_at=t,
             not_before=t,
         )
+        owned.add(rec["job"])
         return
     job = state.jobs.get(rec.get("job", ""))
     if job is None:
         return  # orphan record (its submit was corrupt): ignore
     if job.status == "cancelled":
         return  # sticky-terminal: nothing revives a cancelled job
+    if job.job_id not in owned:
+        job = state.jobs[job.job_id] = copy.copy(job)
+        owned.add(job.job_id)
     if kind == "job_leased":
         job.status = "leased"
         job.attempt = int(rec.get("attempt", job.attempt + 1))
@@ -235,6 +255,27 @@ def _apply(state: ServeState, rec: Dict[str, Any]) -> None:
     # unknown record types are ignored (forward compatibility)
 
 
+def _fold(state: ServeState, data: bytes, owned: Set[str]) -> str:
+    """Fold the complete lines of ``data`` into ``state``: a corrupt
+    line is skipped and counted.  Returns the unterminated remainder
+    (``""`` when ``data`` ends with a newline)."""
+    # errors="replace": on-disk byte rot degrades to one corrupt
+    # record, never an undecodable store.  A stray \r ends a line, as
+    # it did when the log was read in text mode.
+    text = data.decode("utf-8", errors="replace")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    rest = lines.pop()
+    for line in lines:
+        try:
+            rec = decode_record(line)
+        except JournalError:
+            state.corrupt_records += 1
+            continue
+        state.records += 1
+        _apply(state, rec, owned)
+    return rest
+
+
 class JobStore:
     """Filesystem handle on one serve state directory.
 
@@ -243,6 +284,10 @@ class JobStore:
     the log safely; reads replay the log without locking (the WAL
     framing makes a mid-append read safe — the unfinished line fails
     its checksum and is dropped as a torn tail).
+
+    Each instance caches the fold of the log's complete lines (see the
+    module docstring); a thread lock guards it, so threads may share
+    one store.
     """
 
     LOCK_NAME = "serve.lock"
@@ -255,6 +300,16 @@ class JobStore:
         self.journals_dir = self.state_dir / "journals"
         self.results_dir = self.state_dir / "results"
         self.metrics_dir = self.state_dir / "metrics"
+        self._cache_lock = threading.Lock()
+        self._reset(None)
+
+    def _reset(self, inode: Optional[int]) -> None:
+        """Forget the cached fold; the next read replays from byte 0."""
+        self._folded = ServeState()
+        self._offset = 0
+        self._inode = inode
+        #: Cached records no snapshot has been handed yet.
+        self._owned: Set[str] = set()
 
     def _lock(self) -> FileLock:
         return FileLock(self.state_dir / self.LOCK_NAME)
@@ -357,33 +412,53 @@ class JobStore:
     # -- read side ---------------------------------------------------------
     def load(self) -> ServeState:
         """Replay ``jobs.log`` with the WAL recovery rules: torn tail
-        dropped, corrupt interior skipped and counted."""
-        state = ServeState()
-        if not self.log_path.exists():
-            return state
-        # errors="replace": on-disk byte rot degrades to one corrupt
-        # record, never an undecodable store.
-        raw = self.log_path.read_text(errors="replace")
-        lines = raw.split("\n")
-        ends_clean = raw.endswith("\n")
-        if lines and lines[-1] == "":
-            lines.pop()
-        for i, line in enumerate(lines):
-            last = i == len(lines) - 1
-            try:
-                rec = decode_record(line)
-            except JournalError:
-                if last and not ends_clean:
-                    state.torn_tail = True
-                else:
-                    state.corrupt_records += 1
-                continue
-            state.records += 1
-            _apply(state, rec)
-        return state
+        dropped, corrupt interior skipped and counted.
 
-    def get(self, job_id: str) -> JobRecord:
-        job = self.load().jobs.get(job_id)
+        Only the bytes appended since the previous load are read.  The
+        returned state is a snapshot: later loads never change it.  An
+        unterminated final line is applied to the snapshot alone (or
+        flags ``torn_tail`` when it does not decode) and is read again
+        next time, when it may have been completed or repaired away.
+        """
+        with self._cache_lock:
+            try:
+                f = open(self.log_path, "rb")
+            except FileNotFoundError:
+                self._reset(None)
+                return ServeState()
+            with f:
+                st = os.fstat(f.fileno())
+                if st.st_ino != self._inode or st.st_size < self._offset:
+                    self._reset(st.st_ino)
+                f.seek(self._offset)
+                data = f.read()
+            complete = data.rfind(b"\n") + 1
+            _fold(self._folded, data[:complete], self._owned)
+            self._offset += complete
+            snapshot = ServeState(
+                jobs=dict(self._folded.jobs),
+                records=self._folded.records,
+                corrupt_records=self._folded.corrupt_records,
+            )
+            self._owned.clear()
+        # The tail touches the snapshot only: copy what it changes.
+        owned: Set[str] = set()
+        last = _fold(snapshot, data[complete:], owned)
+        if last:
+            try:
+                rec = decode_record(last)
+            except JournalError:
+                snapshot.torn_tail = True
+            else:
+                snapshot.records += 1
+                _apply(snapshot, rec, owned)
+        return snapshot
+
+    def get(
+        self, job_id: str, state: Optional[ServeState] = None
+    ) -> JobRecord:
+        """One job's record, from ``state`` or a fresh :meth:`load`."""
+        job = (self.load() if state is None else state).jobs.get(job_id)
         if job is None:
             raise ServeStoreError(f"unknown job {job_id!r}")
         return job

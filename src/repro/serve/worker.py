@@ -5,13 +5,15 @@ has imported what a ``run`` job needs and then waits on a control
 pipe.  For each lease the template forks a worker, which runs
 :func:`main` — the same body ``python -m repro.serve.worker STATE JOB``
 runs — so a job pays a fork instead of an interpreter start and a
-numpy import.  The worker's lifecycle is deliberately *independent*
-of the daemon's: it talks to the world only through the shared state
-directory (heartbeats into ``jobs.log``, checkpoints into its per-job
-run journal, the final document into ``results/``), so a daemon that
-dies mid-job leaves an orphan worker that keeps making durable
-progress — the restarted daemon sees its fresh heartbeats and leaves
-the lease alone.
+numpy import.  The lease carries the job's kind and spec, so a forked
+worker starts without replaying the job log; the command line reads
+the job from the log.  The worker's lifecycle is deliberately
+*independent* of the daemon's: it talks to the world only through the
+shared state directory (heartbeats into ``jobs.log``, checkpoints into
+its per-job run journal, the final document into ``results/``), so a
+daemon that dies mid-job leaves an orphan worker that keeps making
+durable progress — the restarted daemon sees its fresh heartbeats and
+leaves the lease alone.
 
 Execution per kind mirrors the CLI command byte-for-byte (same engine
 wiring, same collector) so a job's metric-document ``digest`` is
@@ -37,13 +39,13 @@ stop heartbeating and hang until killed — which is how the test suite
 produces a deterministic lease expiry.
 
 Template protocol: one JSON object per line.  The daemon writes
-``{"job", "attempt", "heartbeat"}`` to fork a worker and ``{"go":
-pid}`` once it has appended that worker's ``job_leased``; the template
-answers a fork with ``{"pid"}``, a go with ``{"pid", "started"}`` and
-each reaped worker with ``{"pid", "exit"}``.  A forked worker waits on
-its own gate pipe until the go, so its first record can never precede
-its lease, and once the go is answered it runs even if the template
-dies.  The template
+``{"job", "attempt", "heartbeat", "kind", "spec"}`` to fork a worker
+and ``{"go": pid}`` once it has appended that worker's
+``job_leased``; the template answers a fork with ``{"pid"}``, a go
+with ``{"pid", "started"}`` and each reaped worker with ``{"pid",
+"exit"}``.  A forked worker waits on its own gate pipe until the go,
+so its first record can never precede its lease, and once the go is
+answered it runs even if the template dies.  The template
 is single-threaded, holds no store lock or log fd, and has run nothing,
 so every process-global a worker inherits is at import-time state.
 """
@@ -292,7 +294,14 @@ def _wedge() -> None:  # pragma: no cover - killed, never returns
         time.sleep(3600)
 
 
-def main(argv: Optional[list] = None) -> int:
+def main(
+    argv: Optional[list] = None,
+    kind: Optional[str] = None,
+    spec: Optional[Dict[str, Any]] = None,
+) -> int:
+    """Run one leased job.  A forked worker passes the ``kind`` and
+    ``spec`` its lease carries; without them the job is read from the
+    log."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -307,7 +316,9 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
 
     store = JobStore(args.state_dir)
-    job = store.get(args.job_id)
+    if kind is None:
+        job = store.get(args.job_id)
+        kind, spec = job.kind, job.spec
 
     cancel = threading.Event()
 
@@ -317,7 +328,7 @@ def main(argv: Optional[list] = None) -> int:
     signal.signal(signal.SIGTERM, _on_term)
     signal.signal(signal.SIGINT, _on_term)
 
-    wedge_until = int(job.spec.get("_wedge_attempts", 0))
+    wedge_until = int(spec.get("_wedge_attempts", 0))
     if args.attempt <= wedge_until:
         # Deliberately no heartbeat: the daemon must observe a stale
         # lease and re-dispatch.  (Test-only path.)
@@ -327,7 +338,7 @@ def main(argv: Optional[list] = None) -> int:
     heartbeat.start()
     try:
         doc, interrupted = execute_job(
-            store, args.job_id, job.kind, job.spec, cancel
+            store, args.job_id, kind, spec, cancel
         )
     except Exception as exc:  # typed terminal state, not a wedged queue
         heartbeat.stop()
@@ -342,7 +353,7 @@ def main(argv: Optional[list] = None) -> int:
         return RESUMABLE_EXIT_CODE
 
     try:
-        finalize_job(store, args.job_id, job.kind, doc)
+        finalize_job(store, args.job_id, kind, doc)
     except OSError as exc:
         # A result write that hits a full/sick disk must degrade to a
         # typed terminal record, not an unexplained traceback that
@@ -380,7 +391,7 @@ def _worker_child(
         state_dir, lease["job"],
         "--attempt", str(lease["attempt"]),
         "--heartbeat", str(lease["heartbeat"]),
-    ])
+    ], kind=lease["kind"], spec=lease["spec"])
 
 
 def template_main(state_dir: str) -> int:

@@ -80,6 +80,20 @@ class TestEndpoints:
         listing = sc.list_jobs(url=url)
         assert [j["job_id"] for j in listing["jobs"]] == [job_id]
 
+    def test_get_job_replays_the_log_once(self, served, monkeypatch):
+        daemon, url, _ = served
+        job_id = sc.submit_job("run", {"key": "lst1"}, url=url)["job_id"]
+        loads = []
+        real_load = daemon.store.load
+        monkeypatch.setattr(
+            daemon.store, "load", lambda: loads.append(1) or real_load(),
+        )
+        doc = sc.get_job(job_id, url=url)
+        assert loads == [1]
+        assert doc["status"] == "queued"
+        assert doc["store"] == {"records": 1, "corrupt_records": 0,
+                                "torn_tail": False, "orphan_tmp": 0}
+
     def test_submit_unknown_kind_is_a_client_error(self, served):
         _, url, _ = served
         with pytest.raises(ServeClientError, match="unknown job kind"):
@@ -187,6 +201,10 @@ class TestStartValidation:
         (["--poll", "-1"], "poll interval must be positive"),
         (["--poll", "0"], "poll interval must be positive"),
         (["--grace", "-1"], "drain grace must be >= 0"),
+        (["--heartbeat", "5", "--lease-timeout", "2"],
+         "must be shorter than the lease timeout"),
+        (["--heartbeat", "2", "--lease-timeout", "2"],
+         "must be shorter than the lease timeout"),
     ])
     def test_bad_start_flags_exit_2_without_traceback(
         self, tmp_path, flags, message,

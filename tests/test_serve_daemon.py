@@ -10,7 +10,9 @@ assertions:
   the deterministic backoff — and the *final metric-document digest
   is byte-identical* to an uninterrupted in-process run;
 * a SIGKILL'd worker is re-dispatched the same way, without waiting
-  out the lease timeout (the daemon reaps the dead process);
+  out the lease timeout (the daemon reaps the dead process) — but a
+  worker exit seen after a load that predates its ``job_done`` never
+  requeues the finished job;
 * a job whose leases keep expiring degrades to the typed terminal
   ``failed`` state after ``max_attempts`` instead of wedging the
   queue;
@@ -18,18 +20,27 @@ assertions:
 * cancel kills the worker and is sticky;
 * workers forked from the worker template yield the in-process
   digest, a SIGKILL'd template leaves its workers to the orphan path
-  and is replaced, and drain reaps the template.
+  and is replaced, and drain reaps the template;
+* a worker forked with the job's kind and spec in its lease yields the
+  digest of the command-line worker, which reads the job from the log;
+* :meth:`ServeDaemon.run_forever` wakes on submit, cancel, drain and
+  worker exit instead of waiting out its poll.
 """
 
 import json
 import os
 import signal
+import subprocess
+import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
-from repro.serve.daemon import DaemonConfig, ServeDaemon
+from repro.serve import client as sc
+from repro.serve.api import start_api
+from repro.serve.daemon import DaemonConfig, ServeDaemon, _Template
 from repro.serve.store import JobStore, job_backoff
 
 pytestmark = pytest.mark.slow
@@ -113,6 +124,30 @@ class TestHappyPath:
             daemon.store.result_path(job_id).read_text()
         )
         assert result["digest"] == job.digests["run"]
+
+    def test_exit_seen_after_a_stale_load_keeps_the_job_done(
+        self, tmp_path, monkeypatch,
+    ):
+        daemon = _daemon(tmp_path, workers=1)
+        job_id = daemon.store.submit("run", {"key": "lst1"})
+        leased = daemon.tick()
+        assert leased.jobs[job_id].status == "leased"
+        proc = daemon._procs[job_id]
+        _wait_for(lambda: daemon.template.pump()
+                  or daemon.template.reported({proc.pid}))
+        # The tick's first load predates the worker's job_done, as
+        # when the worker finishes while the tick is reading the log.
+        loads = [leased]
+        real_load = daemon.store.load
+        monkeypatch.setattr(
+            daemon.store, "load",
+            lambda: loads.pop() if loads else real_load(),
+        )
+        state = daemon.tick()
+        assert state.jobs[job_id].status == "done"
+        assert "job_requeued" not in {
+            rec["type"] for rec in _log_records(daemon.store)
+        }
 
     def test_workers_cap_concurrent_leases(self, tmp_path):
         daemon = _daemon(tmp_path, workers=1, lease_timeout=30.0)
@@ -290,6 +325,103 @@ class TestWorkerTemplate:
         # Reaped, not merely dead: no /proc entry, not even a zombie.
         for pid in (template, worker):
             assert not Path(f"/proc/{pid}").exists(), pid
+
+    def test_lease_spec_matches_the_command_line_worker(self, tmp_path):
+        store = JobStore(tmp_path / "state")
+        spec = {"key": "fig2", "scale": "ci", "faults": "lossy", "seed": 3}
+        forked, cli = store.submit("run", spec), store.submit("run", spec)
+        template = _Template(store.state_dir)
+        template.ensure()
+        try:
+            worker = template.fork(store.get(forked), 1, 0.1)
+            template.release(worker.pid)
+            assert worker.wait(timeout=120.0) == 0
+        finally:
+            template.close()
+        src = Path(__file__).resolve().parent.parent / "src"
+        out = subprocess.run(
+            [sys.executable, "-m", "repro.serve.worker",
+             str(store.state_dir), cli],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        state = store.load()
+        assert state.jobs[forked].status == "done"
+        assert state.jobs[forked].digests == state.jobs[cli].digests
+
+
+@pytest.fixture()
+def looping(tmp_path):
+    """A one-worker daemon whose loop runs with a 5 s poll, behind a
+    live API: anything faster than the poll came from a wake."""
+    daemon = _daemon(tmp_path, workers=1, poll=5.0, lease_timeout=30.0)
+    shutdown = threading.Event()
+    server = start_api(daemon, shutdown, port=0)
+    host, port = server.server_address[:2]
+    exit_code = []
+    loop = threading.Thread(
+        target=lambda: exit_code.append(daemon.run_forever(shutdown))
+    )
+    loop.start()
+    try:
+        yield daemon, f"http://{host}:{port}", loop, exit_code
+    finally:
+        shutdown.set()
+        daemon.wake()
+        loop.join(timeout=60.0)
+        server.shutdown()
+        server.server_close()
+
+
+def _wait_for(predicate, timeout=60.0):
+    deadline = time.time() + timeout
+    while time.time() < deadline:
+        value = predicate()
+        if value:
+            return value
+        time.sleep(0.01)
+    raise AssertionError(f"not within {timeout}s")
+
+
+class TestEventDrivenLoop:
+    def test_submit_and_worker_exit_wake_the_loop(self, looping):
+        daemon, url, _, _ = looping
+        # The first job waits out the template's imports; it also
+        # leaves the loop asleep on its 5 s poll.
+        warm = sc.submit_job("run", {"key": "lst1"}, url=url)["job_id"]
+        assert sc.wait_for_job(warm, url=url, timeout=60.0, poll=0.05)["status"] == "done"
+        first = sc.submit_job("run", {"key": "lst1"}, url=url)["job_id"]
+        second = sc.submit_job("run", {"key": "lst1"}, url=url)["job_id"]
+        sc.wait_for_job(second, url=url, timeout=60.0, poll=0.05)
+        state = daemon.store.load()
+        a, b = state.jobs[first], state.jobs[second]
+        assert a.status == b.status == "done"
+        assert a.finished_at - a.submitted_at < 2.0
+        # One worker: the second job waited for the first one's exit.
+        assert b.leased_at >= a.finished_at
+        assert b.leased_at - a.finished_at < 1.0
+
+    def test_cancel_wakes_the_loop_to_kill_the_worker(self, looping):
+        daemon, url, _, _ = looping
+        job_id = sc.submit_job(
+            "run", {"key": "lst1", "_wedge_attempts": 99}, url=url,
+        )["job_id"]
+        pid = _wait_for(lambda: daemon.store.get(job_id).worker_pid)
+        sc.cancel_job(job_id, url=url)
+        t0 = time.time()
+        _wait_for(lambda: not _running(pid), timeout=5.0)
+        assert time.time() - t0 < 1.0
+
+    def test_drain_returns_without_waiting_out_the_poll(self, looping):
+        _, url, loop, exit_code = looping
+        time.sleep(0.2)  # the loop is asleep on its poll
+        t0 = time.time()
+        sc.drain(url=url)
+        loop.join(timeout=10.0)
+        assert not loop.is_alive()
+        assert time.time() - t0 < 1.0
+        assert exit_code == [0]
 
 
 def _log_records(store):

@@ -9,20 +9,29 @@ The durability claims under test:
 * re-dispatch backoff is a pure function of ``(job_id, attempt)`` —
   the acceptance criterion — bounded by the cap and decorrelated
   across jobs;
+* an incremental load equals a full replay of the same log, whatever
+  mix of writers, corruption, tears and repairs produced it, and a
+  returned state is a snapshot later loads never change;
 * ``FileLock.acquire(timeout=...)`` raises a :class:`FileLockTimeout`
   naming the holding pid instead of blocking forever, proven against
   a real second process.
 """
 
+import dataclasses
+import os
 import subprocess
 import sys
+import tempfile
 import textwrap
+import threading
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.atomicio import FileLock, FileLockTimeout
+from repro.core.atomicio import FileLock, FileLockTimeout, repair_torn_tail
 from repro.exec.backoff import backoff_delay, backoff_schedule
 from repro.exec.journal import encode_record
 from repro.serve.store import (
@@ -174,6 +183,150 @@ class TestJobLogReplay:
         depths = store.load().by_status()
         assert depths == {"queued": 1, "leased": 1, "done": 0,
                           "failed": 0, "cancelled": 1}
+
+
+def _view(state):
+    """Everything a replay yields, deep-copied so later loads cannot
+    reach it."""
+    return (
+        {j: dataclasses.asdict(r) for j, r in state.jobs.items()},
+        state.records, state.corrupt_records, state.torn_tail,
+    )
+
+
+#: One step against a shared state dir: (operation, writer, job, text).
+#: ``writer`` 1 is a second store standing in for another process.
+_STEPS = st.tuples(
+    st.sampled_from([
+        "submit", "leased", "heartbeat", "requeued", "done", "failed",
+        "cancelled", "unknown", "garbage", "torn", "unterminated",
+        "repair", "snapshot",
+    ]),
+    st.integers(0, 1),
+    st.integers(0, 3),
+    st.text(alphabet='ab{}":\r', max_size=8),
+)
+
+
+def _step(stores, op, writer, job, text, snapshots):
+    store = stores[writer]
+    jobs = sorted(JobStore(store.state_dir).load().jobs) or ["job-000009"]
+    job_id = jobs[job % len(jobs)]
+    if op == "submit":
+        store.submit("run", {"key": "lst1", "n": job})
+    elif op == "leased":
+        store.job_leased(job_id, job + 1, pid=job, timeout=30.0,
+                         daemon_id=f"d-{writer}")
+    elif op == "heartbeat":
+        store.job_heartbeat(job_id, job)
+    elif op == "requeued":
+        store.job_requeued(job_id, job, "lease-expired", 0.5)
+    elif op == "done":
+        store.job_done(job_id, {"run": text or "ff"}, result={"n": job})
+    elif op == "failed":
+        store.job_failed(job_id, f"Boom: {text}")
+    elif op == "cancelled":
+        store.job_cancelled(job_id)
+    elif op == "unknown":
+        store.append({"type": "job_promoted", "job": job_id})
+    elif op == "repair":
+        repair_torn_tail(store.log_path)
+    elif op == "snapshot":
+        state = stores[0].load()
+        snapshots.append((state, _view(state)))
+    else:
+        with open(store.log_path, "a", newline="") as f:
+            if op == "garbage":
+                f.write(f"not json {text}\n")
+            elif op == "torn":
+                f.write('{"type": "job_done", "job' + text)
+            else:  # a record that decodes, its newline not yet written
+                f.write(encode_record({
+                    "type": "job_failed", "job": job_id,
+                    "error": "unterminated", "t": 1.0,
+                }).rstrip("\n"))
+
+
+class TestIncrementalReplay:
+    """A store's cached, incremental :meth:`JobStore.load` must always
+    equal a fresh store's full replay of the same log."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(_STEPS, min_size=1, max_size=12))
+    def test_incremental_load_equals_a_full_replay(self, steps):
+        with tempfile.TemporaryDirectory() as d:
+            stores = [JobStore(d), JobStore(d)]
+            snapshots = []
+            for op, writer, job, text in steps:
+                _step(stores, op, writer, job, text, snapshots)
+                assert _view(stores[0].load()) == \
+                    _view(JobStore(d).load()), (op, writer)
+            # Later loads never changed a snapshot handed out earlier.
+            for state, view in snapshots:
+                assert _view(state) == view
+
+    def test_snapshot_is_not_changed_by_later_loads(self, tmp_path):
+        store = JobStore(tmp_path)
+        job = store.submit("run", {})
+        queued = store.load()
+        store.job_leased(job, 1, pid=1, timeout=30.0)
+        leased = store.load()
+        frozen = [_view(queued), _view(leased)]
+        with open(store.log_path, "a") as f:
+            f.write(encode_record({
+                "type": "job_done", "job": job, "digests": {"run": "ff"},
+                "t": 2.0,
+            }).rstrip("\n"))
+        during = store.load()
+        assert during.jobs[job].status == "done"  # the tail decodes
+        # The next append repairs the unterminated tail away.
+        store.append({"type": "job_heartbeat", "job": job, "pid": 1}, t=3.0)
+        after = store.load()
+        assert [_view(queued), _view(leased)] == frozen
+        assert during.jobs[job].status == "done"
+        assert after.jobs[job].status == "leased"
+        assert after.jobs[job].heartbeat_at == 3.0
+        assert after.records == 3 and not after.torn_tail
+
+    def test_replaced_or_shrunk_log_is_replayed_in_full(self, tmp_path):
+        store = JobStore(tmp_path)
+        store.submit("run", {})
+        store.submit("run", {})
+        assert len(store.load().jobs) == 2
+        other = JobStore(tmp_path / "other")
+        other.submit("faults", {"pad": "x" * 1000})  # longer: only the
+        os.replace(other.log_path, store.log_path)  # new inode tells
+        assert [j.kind for j in store.load().jobs.values()] == ["faults"]
+        with open(store.log_path, "r+b") as f:
+            f.truncate(0)
+        assert store.load().jobs == {}
+
+    def test_concurrent_loads_while_appending_never_raise(self, tmp_path):
+        store = JobStore(tmp_path)
+        writer = JobStore(tmp_path)
+        job = writer.submit("run", {})
+        errors = []
+        done = threading.Event()
+
+        def reader():
+            try:
+                while not done.is_set():
+                    state = store.load()
+                    assert state.jobs[job].status in ("queued", "leased")
+            except Exception as exc:  # pragma: no cover - the failure
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for i in range(40):
+            writer.job_leased(job, i + 1, pid=i, timeout=30.0)
+            writer.job_heartbeat(job, i)
+        done.set()
+        for t in threads:
+            t.join()
+        assert errors == []
+        assert _view(store.load()) == _view(JobStore(tmp_path).load())
 
 
 class TestFileLockTimeout:
