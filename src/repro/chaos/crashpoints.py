@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.atomicio import PowerCut, atomic_write_text, canonical_json
+from ..core.frozen import load_frozen
 from .faultio import CountingIO, CrashpointIO, mode_for
 from .workloads import WORKLOADS, make_workload
 
@@ -249,16 +250,12 @@ def freeze_crashpoint(
 def replay_crashpoint(path: Union[str, Path]) -> Dict[str, Any]:
     """Replay one frozen crashpoint file; returns its point verdict
     (with the frozen expectation echoed under ``"frozen"``)."""
-    import json
-
-    frozen = json.loads(Path(path).read_text())
-    for field in ("workload", "seed", "k"):
-        if field not in frozen:
-            raise ValueError(f"{path}: not a frozen crashpoint "
-                             f"(missing {field!r})")
+    frozen = load_frozen(
+        path, "frozen crashpoint", {"workload": str, "seed": int, "k": int}
+    )
     baseline, _ = enumerate_points(frozen["workload"])
     verdict = run_crashpoint(
-        frozen["workload"], int(frozen["seed"]), int(frozen["k"]), baseline
+        frozen["workload"], frozen["seed"], frozen["k"], baseline
     )
     verdict["frozen"] = {
         "path": Path(path).name,

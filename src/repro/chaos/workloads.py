@@ -45,10 +45,10 @@ from ..core.atomicio import (
     sweep_orphan_tmp,
 )
 from ..exec.journal import (
-    JournalError,
     JournalWriter,
     _encode_payload,
     load_journal,
+    try_load_journal,
 )
 
 __all__ = ["WORKLOADS", "Workload", "make_workload", "state_digest_of"]
@@ -161,12 +161,7 @@ class StoresWorkload(Workload):
     # -- the script --------------------------------------------------------
     def _op_journal(self, root: Path) -> None:
         path = root / "journal" / "run.jnl"
-        st = None
-        if path.exists():
-            try:
-                st = load_journal(path)
-            except (JournalError, OSError):
-                st = None
+        st = try_load_journal(path)
         with JournalWriter(path) as w:
             if st is None:
                 w.run_start(
@@ -295,16 +290,43 @@ class StoresWorkload(Workload):
         )
 
 
+class _ResumingWorkload(Workload):
+    """A workload whose recovery resumes its own journal, ``JOURNAL``,
+    and must converge to the same metric-document digest, ``DIGEST``;
+    a subclass's ``_run(root, resume)`` returns that digest."""
+
+    def execute(self, root: Path) -> Dict[str, Any]:
+        return {"digests": {self.DIGEST: self._run(root, resume=False)}}
+
+    def recover(
+        self, root: Path, baseline: Dict[str, Any], mode: Optional[str]
+    ) -> List[Dict[str, Any]]:
+        from ..obs.collector import MetricsStore
+
+        self._sweep(root)
+        digests = {self.DIGEST: self._run(root, resume=True)}
+        st = load_journal(root / self.JOURNAL)
+        corrupt = st.corrupt_records + len(
+            MetricsStore(root / "metrics").corrupt_documents()
+        )
+        return self._standard_invariants(
+            root, baseline, mode, digests, corrupt
+        )
+
+
 # ---------------------------------------------------------------------------
 # run: a real engine run with journal + cache + metrics
 # ---------------------------------------------------------------------------
-class RunWorkload(Workload):
+class RunWorkload(_ResumingWorkload):
     """One ``repro run fig1 --scale ci`` with every durability layer
     attached; recovery is ``--resume`` and must converge to the same
     metric-document digest."""
 
     name = "run"
     artifact_dirs = [".", "cache", "metrics"]
+
+    JOURNAL = "run.jnl"
+    DIGEST = "run"
 
     KEYS = ["fig1"]
     SCALE = "ci"
@@ -314,13 +336,8 @@ class RunWorkload(Workload):
         from ..exec.engine import Engine
         from ..obs.collector import MetricsStore, collect_run, document_digest
 
-        journal_path = root / "run.jnl"
-        resume_state = None
-        if resume and journal_path.exists():
-            try:
-                resume_state = load_journal(journal_path)
-            except JournalError:
-                resume_state = None  # unusable tail: start over
+        journal_path = root / self.JOURNAL
+        resume_state = try_load_journal(journal_path) if resume else None
         cache = ResultCache(root / "cache")
         engine = Engine(jobs=1, cache=cache, resume_state=resume_state)
         with JournalWriter(journal_path) as w:
@@ -333,29 +350,12 @@ class RunWorkload(Workload):
         MetricsStore(root / "metrics").write(doc)
         return document_digest(doc)
 
-    def execute(self, root: Path) -> Dict[str, Any]:
-        return {"digests": {"run": self._run(root, resume=False)}}
-
-    def recover(
-        self, root: Path, baseline: Dict[str, Any], mode: Optional[str]
-    ) -> List[Dict[str, Any]]:
-        from ..obs.collector import MetricsStore
-
-        self._sweep(root)
-        digests = {"run": self._run(root, resume=True)}
-        st = load_journal(root / "run.jnl")
-        corrupt = st.corrupt_records + len(
-            MetricsStore(root / "metrics").corrupt_documents()
-        )
-        return self._standard_invariants(
-            root, baseline, mode, digests, corrupt
-        )
 
 
 # ---------------------------------------------------------------------------
 # campaign: the journal-backed mixed-chaos campaign runner
 # ---------------------------------------------------------------------------
-class CampaignWorkload(Workload):
+class CampaignWorkload(_ResumingWorkload):
     """A budget-capped ``mixed-chaos`` campaign; recovery resumes the
     campaign journal and must converge to the same campaign document
     digest."""
@@ -363,6 +363,8 @@ class CampaignWorkload(Workload):
     name = "campaign"
     artifact_dirs = [".", "metrics"]
 
+    JOURNAL = "campaign.jnl"
+    DIGEST = "campaign"
     SELECTOR = "mixed-chaos"
     BUDGET = 2
 
@@ -380,14 +382,11 @@ class CampaignWorkload(Workload):
 
         name, specs = resolve_selector(self.SELECTOR)
         plan = plan_campaign(name, specs, budget=self.BUDGET)
-        journal_path = root / "campaign.jnl"
-        resume_path = None
-        if resume and journal_path.exists():
-            try:
-                load_journal(journal_path)
-                resume_path = str(journal_path)
-            except JournalError:
-                resume_path = None
+        journal_path = root / self.JOURNAL
+        resume_path = (
+            str(journal_path)
+            if resume and try_load_journal(journal_path) else None
+        )
         doc = run_campaign(
             plan,
             jobs=1,
@@ -398,23 +397,6 @@ class CampaignWorkload(Workload):
         MetricsStore(root / "metrics").write(mdoc)
         return document_digest(mdoc)
 
-    def execute(self, root: Path) -> Dict[str, Any]:
-        return {"digests": {"campaign": self._run(root, resume=False)}}
-
-    def recover(
-        self, root: Path, baseline: Dict[str, Any], mode: Optional[str]
-    ) -> List[Dict[str, Any]]:
-        from ..obs.collector import MetricsStore
-
-        self._sweep(root)
-        digests = {"campaign": self._run(root, resume=True)}
-        st = load_journal(root / "campaign.jnl")
-        corrupt = st.corrupt_records + len(
-            MetricsStore(root / "metrics").corrupt_documents()
-        )
-        return self._standard_invariants(
-            root, baseline, mode, digests, corrupt
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -481,12 +463,10 @@ class ServeWorkload(Workload):
         corrupt = state.corrupt_records + len(
             MetricsStore(store.metrics_dir).corrupt_documents()
         )
-        jpath = store.journal_path(job_id)
-        if jpath.exists():
-            try:
-                corrupt += load_journal(jpath).corrupt_records
-            except JournalError:
-                pass  # never written past its torn first append
+        # None when never written past its torn first append.
+        jstate = try_load_journal(store.journal_path(job_id))
+        if jstate is not None:
+            corrupt += jstate.corrupt_records
         return self._standard_invariants(
             root, baseline, mode, digests, corrupt
         )

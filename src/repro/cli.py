@@ -1051,12 +1051,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         render_replay,
         render_scenario_packs,
     )
+    from .core.frozen import FrozenFileError, frozen_paths
     from .scenarios import ScenarioError, list_packs
     from .scenarios.campaign import (
         CampaignError,
         plan_campaign,
         replay_frozen,
-        replay_paths,
         resolve_selector,
         run_campaign,
     )
@@ -1071,8 +1071,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     if args.campaign_command == "replay":
         try:
-            paths = replay_paths(args.target)
-        except CampaignError as exc:
+            paths = frozen_paths([args.target], "frozen scenario")
+        except FrozenFileError as exc:
             print(str(exc), file=sys.stderr)
             return 2
         rows = []
@@ -1082,7 +1082,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                     break
                 try:
                     rows.append(replay_frozen(path))
-                except (CampaignError, ScenarioError) as exc:
+                except (CampaignError, ScenarioError, FrozenFileError) as exc:
                     print(str(exc), file=sys.stderr)
                     return 2
         interrupted = len(rows) < len(paths)
@@ -1692,6 +1692,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     from .chaos import replay_crashpoint, run_crashpoints
     from .core.atomicio import atomic_write_text
+    from .core.frozen import FrozenFileError, frozen_paths
     from .core.report import render_chaos_replay, render_chaos_verdict
 
     if args.chaos_command == "crashpoints":
@@ -1730,13 +1731,13 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         return 0 if doc["ok"] else 1
 
     # chaos replay
-    paths: List[Path] = []
-    for raw in args.paths or ["tests/golden/chaos"]:
-        p = Path(raw)
-        if p.is_dir():
-            paths.extend(sorted(p.glob("*.json")))
-        else:
-            paths.append(p)
+    try:
+        paths = frozen_paths(
+            args.paths or ["tests/golden/chaos"], "frozen crashpoint"
+        )
+    except FrozenFileError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     if not paths:
         print("no frozen crashpoints found (freeze some with "
               "repro.chaos.freeze_crashpoint)", file=sys.stderr)

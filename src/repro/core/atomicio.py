@@ -10,8 +10,8 @@ segments, golden snapshots — funnels through these helpers so a crash
   the parent directory so the rename itself is durable.  Readers see
   either the old complete file or the new complete file, never a prefix.
 * :func:`durable_append` flushes and ``fsync``\\ s an open file after an
-  append — the write-ahead-log primitive :mod:`repro.exec.journal`
-  builds on.
+  append — the write-ahead-log primitive :class:`RecordLog` builds
+  on.
 * :class:`FileLock` is an advisory ``fcntl.flock`` lock (shared or
   exclusive) so concurrent ``repro`` processes sharing one cache
   directory serialise their metadata operations.  On platforms without
@@ -31,18 +31,23 @@ a line-oriented log back to its last complete record before a writer
 appends (so a torn tail can never fuse with the next record), and
 :func:`sweep_orphan_tmp` removes ``.<name>.<pid>.tmp`` files whose
 writing process died between temp-write and rename.
+
+:class:`RecordLog` is the one durable record log: the run journal
+(:mod:`repro.exec.journal`) and the serve job log
+(:mod:`repro.serve.store`) are schemas over it.
 """
 
 from __future__ import annotations
 
 import contextlib
 import datetime
+import hashlib
 import json
 import os
 import re
 import time
 from pathlib import Path
-from typing import Any, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 try:  # POSIX only; Windows falls back to lock-free atomic renames.
     import fcntl
@@ -52,11 +57,16 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 __all__ = [
     "atomic_write_text",
     "canonical_json",
+    "conforms",
+    "decode_record",
     "durable_append",
+    "encode_record",
     "fsync_dir",
     "FileLock",
     "FileLockTimeout",
     "PowerCut",
+    "RecordError",
+    "RecordLog",
     "get_io_policy",
     "io_policy",
     "orphan_tmp_files",
@@ -265,26 +275,28 @@ def repair_torn_tail(path: Union[str, os.PathLike]) -> int:
     corrupting *both* — so writers call this before appending.  Returns
     the number of bytes dropped (0 when the file is absent or clean).
     """
-    path = Path(path)
     try:
-        size = path.stat().st_size
-    except OSError:
+        fd = os.open(path, os.O_RDWR)
+    except (FileNotFoundError, NotADirectoryError):
         return 0
-    if size == 0:
-        return 0
-    with open(path, "r+b") as f:
-        f.seek(-1, os.SEEK_END)
-        if f.read(1) == b"\n":
+    # Raw descriptor calls: every append runs this check, and a clean
+    # tail (the common case) costs one fstat, a seek and a one-byte read.
+    try:
+        size = os.fstat(fd).st_size
+        if size == 0:
             return 0
-        # Walk back to the last newline (file positions are small here:
-        # one torn record's worth in practice, whole file at worst).
-        f.seek(0)
-        data = f.read()
-        keep = data.rfind(b"\n") + 1
-        f.truncate(keep)
-        f.flush()
-        os.fsync(f.fileno())
+        os.lseek(fd, size - 1, os.SEEK_SET)
+        if os.read(fd, 1) == b"\n":
+            return 0
+        # Walk back to the last newline (one torn record's worth in
+        # practice, the whole file at worst).
+        with open(path, "rb") as f:
+            keep = f.read(size).rfind(b"\n") + 1
+        os.ftruncate(fd, keep)
+        os.fsync(fd)
         return size - keep
+    finally:
+        os.close(fd)
 
 
 class FileLock:
@@ -427,3 +439,146 @@ def canonical_json(doc: Any) -> str:
     """The one JSON encoding used for digests and checksums: sorted
     keys, no whitespace — byte-stable for any equal document."""
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+# ---------------------------------------------------------------------------
+# the record log
+# ---------------------------------------------------------------------------
+
+_CHECK_LEN = 16
+
+
+class RecordError(ValueError):
+    """A log line that is not a well-framed record: undecodable JSON,
+    no string ``type``, or a failed checksum."""
+
+
+def _checksum(doc: Dict[str, Any]) -> str:
+    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()[:_CHECK_LEN]
+
+
+def encode_record(doc: Dict[str, Any]) -> str:
+    """One log line: the record plus its ``check`` field."""
+    return canonical_json({**doc, "check": _checksum(doc)}) + "\n"
+
+
+def decode_record(line: str) -> Dict[str, Any]:
+    """Parse and checksum-verify one log line; raises
+    :class:`RecordError` on a torn or corrupted record."""
+    try:
+        doc = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise RecordError(f"undecodable record: {exc}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("type"), str):
+        raise RecordError("record is not a typed object")
+    check = doc.pop("check", None)
+    if check != _checksum(doc):
+        raise RecordError("record checksum mismatch")
+    return doc
+
+
+def conforms(
+    rec: Dict[str, Any],
+    needs: Dict[str, Tuple[str, ...]],
+    types: Dict[str, Any],
+) -> bool:
+    """The shape check a log schema runs before it folds a record:
+    ``rec`` carries every field ``needs`` lists for its type, and each
+    field of ``types`` that it carries has one of that field's types."""
+    return all(f in rec for f in needs.get(rec["type"], ())) and all(
+        isinstance(rec[f], t) for f, t in types.items() if f in rec
+    )
+
+
+def _split(data: bytes) -> Tuple[List[Dict[str, Any]], int, str]:
+    """Decode the lines of ``data``: the records, the number of lines
+    that fail to decode, and the unterminated remainder."""
+    # errors="replace": byte rot degrades to one corrupt record, never
+    # an unreadable log.  A stray \r ends a line, as in text mode.
+    text = data.decode("utf-8", errors="replace")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    rest = lines.pop()
+    records: List[Dict[str, Any]] = []
+    corrupt = 0
+    for line in lines:
+        try:
+            records.append(decode_record(line))
+        except RecordError:
+            corrupt += 1
+    return records, corrupt, rest
+
+
+class RecordLog:
+    """An append-only file of checksummed JSON records, one per line.
+
+    A line is the canonical JSON (:func:`canonical_json`) of a record
+    object with a string ``type``, plus a ``check`` field: the first 16
+    hex digits of the sha256 of the canonical JSON of the rest
+    (:func:`encode_record` / :func:`decode_record`).  Recovery rules,
+    shared by every log built on it:
+
+    * every append writes one complete ``\\n``-terminated line and
+      ``fsync``\\ s it; it first truncates a torn tail left by a crash
+      (:func:`repair_torn_tail`), so the new record cannot fuse with
+      the partial line;
+    * on read, a line that fails to decode is corrupt: skipped and
+      counted, and later records still load;
+    * an unterminated final line that fails to decode is a torn tail,
+      dropped silently; one that decodes counts like any record.
+
+    Because writers only ever drop an incomplete final line,
+    :meth:`read` is incremental: it reads only the bytes past the
+    complete lines it has already returned, and starts again from
+    byte 0 when the file was replaced (new inode) or shrank.  Callers
+    serialise appends and reads themselves.
+    """
+
+    def __init__(self, path: Union[str, os.PathLike]) -> None:
+        self.path = Path(path)
+        self._offset = 0
+        self._inode: Optional[int] = None
+
+    def append(self, doc: Dict[str, Any]) -> None:
+        """Durably append one record."""
+        existed = self.path.exists()
+        repair_torn_tail(self.path)
+        with open(self.path, "a") as f:
+            durable_append(f, encode_record(doc))
+        if not existed:
+            fsync_dir(self.path.parent)  # the file's creation is durable
+
+    def read(self) -> Tuple[bool, tuple, tuple]:
+        """The records appended since the last read, as
+        ``(reset, (records, corrupt), (tail, tail_corrupt, torn))``.
+
+        ``records`` and ``corrupt`` (a count) cover the complete lines
+        read this time; when ``reset`` is set they start again from
+        byte 0 and replace what earlier reads returned.  ``tail``,
+        ``tail_corrupt`` and ``torn`` cover the unterminated end of the
+        file, which the next read sees again: fold them into a
+        snapshot, never a cache.  Raises :class:`FileNotFoundError`
+        when the log does not exist.
+        """
+        try:
+            f = open(self.path, "rb")
+        except FileNotFoundError:
+            self._offset, self._inode = 0, None
+            raise
+        with f:
+            st = os.fstat(f.fileno())
+            reset = st.st_ino != self._inode or st.st_size < self._offset
+            if reset:
+                self._offset, self._inode = 0, st.st_ino
+            f.seek(self._offset)
+            data = f.read()
+        complete = data.rfind(b"\n") + 1
+        self._offset += complete
+        records, corrupt, _ = _split(data[:complete])
+        tail, tail_corrupt, last = _split(data[complete:])
+        torn = False
+        if last:
+            try:
+                tail.append(decode_record(last))
+            except RecordError:
+                torn = True
+        return reset, (records, corrupt), (tail, tail_corrupt, torn)

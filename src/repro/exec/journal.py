@@ -1,28 +1,11 @@
-"""Crash-safe run journal: an fsync'd, checksummed JSONL write-ahead log.
+"""Crash-safe run journal: the schema of ``repro run --journal FILE``.
 
-Long sweep campaigns die to SIGKILL, OOM and walltime limits; on real
-HPC systems they survive via checkpointing.  This module gives the
-engine the same property: ``repro run --journal FILE`` appends one
-checksummed record per event — run metadata, every task dispatch,
-every completion (with the pickled payload) — each forced to stable
-storage before the run proceeds.  ``repro run --resume FILE`` replays
-the journal: completed sweep points whose source fingerprint still
-matches are restored without re-execution, only the remainder is
-dispatched, and the merged figures are byte-identical to an
+The journal is a :class:`~repro.core.atomicio.RecordLog`: one
+checksummed, fsync'd record per event, with that type's framing and
+recovery rules.  ``repro run --resume FILE`` replays it: completed
+sweep points whose source fingerprint still matches are restored
+without re-execution, and the merged figures are byte-identical to an
 uninterrupted run at any ``--jobs``.
-
-Record format (one JSON object per line)::
-
-    {"check": "<sha256[:16] of the rest>", "type": "...", ...}
-
-The checksum covers the canonical JSON of the record without ``check``,
-so any torn or bit-flipped line is detected on load.  Recovery rules:
-
-* a corrupt line in the middle of the file is *skipped* and counted
-  (``corrupt_records``) — later records still load;
-* an undecodable final line is a *torn tail* (the crash interrupted the
-  last append); it is dropped silently and the journal is still valid —
-  exactly the write-ahead-log contract.
 
 Record types: ``run_start`` (experiment set, scale, jobs, fault spec,
 source fingerprint, ``resumed`` flag), ``task_dispatch``,
@@ -31,7 +14,8 @@ timing, optional trace document), ``task_failed``,
 ``task_interrupted`` (graceful shutdown or watchdog), and ``run_end``
 (``complete`` / ``interrupted`` / ``failed``).  A resumed run appends a
 new ``run_start`` segment to the *same* file, so a second crash resumes
-from the union of both segments.
+from the union of both segments.  A record that lacks a field its type
+needs, or carries a field of the wrong type, is corrupt.
 
 ``RESUMABLE_EXIT_CODE`` (75, BSD ``EX_TEMPFAIL``) is what the CLI exits
 with after a graceful SIGINT/SIGTERM drain — distinct from 0 (pass),
@@ -42,7 +26,6 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import json
 import os
 import pickle
 from dataclasses import dataclass, field
@@ -50,11 +33,10 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from ..core.atomicio import (
+    RecordLog,
     canonical_json,
-    durable_append,
-    fsync_dir,
+    conforms,
     orphan_tmp_files,
-    repair_torn_tail,
 )
 from .tasks import Task
 
@@ -66,6 +48,7 @@ __all__ = [
     "JournalWriter",
     "task_key",
     "load_journal",
+    "try_load_journal",
     "verify_journal",
     "journal_summary",
     "guard_summary",
@@ -77,39 +60,28 @@ RESUMABLE_EXIT_CODE = 75
 
 JOURNAL_FORMAT_VERSION = 1
 
-_CHECK_LEN = 16
-
 
 class JournalError(ValueError):
     """A journal file that cannot be interpreted at all."""
 
 
-# ---------------------------------------------------------------------------
-# record encoding
-# ---------------------------------------------------------------------------
+#: Fields each record type needs before it can be folded.
+_NEEDS = {
+    "task_dispatch": ("key",),
+    "task_done": ("key", "label"),
+    "task_failed": ("key", "label"),
+    "task_interrupted": ("key", "label"),
+}
 
-def _checksum(doc: Dict[str, Any]) -> str:
-    return hashlib.sha256(canonical_json(doc).encode()).hexdigest()[:_CHECK_LEN]
-
-
-def encode_record(doc: Dict[str, Any]) -> str:
-    """One journal line: the record plus its ``check`` field."""
-    return canonical_json({**doc, "check": _checksum(doc)}) + "\n"
-
-
-def decode_record(line: str) -> Dict[str, Any]:
-    """Parse and checksum-verify one journal line; raises
-    :class:`JournalError` on a torn or corrupted record."""
-    try:
-        doc = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise JournalError(f"undecodable record: {exc}") from None
-    if not isinstance(doc, dict) or "type" not in doc:
-        raise JournalError("record is not a typed object")
-    check = doc.pop("check", None)
-    if check != _checksum(doc):
-        raise JournalError("record checksum mismatch")
-    return doc
+#: The types a field must have, in any record that carries it.
+_TYPES = {
+    "key": str,
+    "label": str,
+    "experiment": str,
+    "index": int,
+    "seconds": (int, float, type(None)),
+    "guard": dict,
+}
 
 
 def task_key(task: Task) -> str:
@@ -144,40 +116,24 @@ def _decode_payload(text: str, digest: Optional[str] = None) -> Any:
 
 class JournalWriter:
     """Append-only journal: every record is fsync'd before the engine
-    moves on, so anything the journal claims happened, happened.
-
-    Opening an existing journal first truncates any torn tail left by
-    a crash mid-append (``repaired_bytes``).  Without that repair the
-    first new record would be appended straight onto the partial line,
-    fusing both into one undecodable record — the old record was
-    already lost, but the *new* one would be silently lost too.
-    """
+    moves on, so anything the journal claims happened, happened."""
 
     def __init__(self, path: Union[str, os.PathLike]) -> None:
         self.path = Path(path)
-        if self.path.parent and not self.path.parent.is_dir():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        existed = self.path.exists()
-        self.repaired_bytes = repair_torn_tail(self.path) if existed else 0
-        self._f = open(self.path, "a")
-        if not existed:
-            fsync_dir(self.path.parent)  # the file's creation is durable
-        self.records_written = 0
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._log = RecordLog(self.path)
 
-    # -- low level ---------------------------------------------------------
     def append(self, doc: Dict[str, Any]) -> None:
-        durable_append(self._f, encode_record(doc))
-        self.records_written += 1
+        self._log.append(doc)
 
     def close(self) -> None:
-        if not self._f.closed:
-            self._f.close()
+        """Nothing to release: each append opens and closes the file."""
 
     def __enter__(self) -> "JournalWriter":
         return self
 
     def __exit__(self, *exc: Any) -> None:
-        self.close()
+        pass
 
     # -- record vocabulary -------------------------------------------------
     def run_start(
@@ -306,63 +262,59 @@ class JournalState:
 
 
 def load_journal(path: Union[str, os.PathLike]) -> JournalState:
-    """Replay a journal file into a :class:`JournalState`.
-
-    Tolerates a torn final line (dropped, ``torn_tail`` set) and
-    corrupt interior records (skipped, counted) — the recovery
-    semantics a WAL reader must have.  Raises :class:`JournalError`
-    only when no valid ``run_start`` record exists at all.
-    """
-    path = Path(path)
-    state = JournalState(path=path)
-    # errors="replace": a bit-flipped byte that is no longer valid
-    # UTF-8 must degrade to one corrupt (checksum-failing) record, not
-    # abort the whole replay with UnicodeDecodeError.
-    raw = path.read_text(errors="replace")
-    lines = raw.split("\n")
-    ends_clean = raw.endswith("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    for i, line in enumerate(lines):
-        last = i == len(lines) - 1
-        try:
-            rec = decode_record(line)
-        except JournalError:
-            if last and not ends_clean:
-                state.torn_tail = True  # interrupted append: drop it
-            else:
-                state.corrupt_records += 1
+    """Replay a journal file into a :class:`JournalState`, with the
+    :class:`~repro.core.atomicio.RecordLog` recovery rules.  Raises
+    :class:`JournalError` only when no valid ``run_start`` record
+    exists at all."""
+    state = JournalState(path=Path(path))
+    _, (records, corrupt), (tail, tail_corrupt, torn) = \
+        RecordLog(path).read()
+    state.corrupt_records = corrupt + tail_corrupt
+    state.torn_tail = torn
+    for rec in records + tail:
+        if not conforms(rec, _NEEDS, _TYPES):
+            state.corrupt_records += 1
             continue
         state.records += 1
-        kind = rec.get("type")
+        kind, key = rec["type"], rec.get("key")
         if kind == "run_start":
             state.meta = rec
             state.runs += 1
             state.complete = False
         elif kind == "task_dispatch":
-            state.dispatched[rec["key"]] = rec
+            state.dispatched[key] = rec
         elif kind == "task_done":
             if state.meta is not None:
                 rec.setdefault("fingerprint", state.meta.get("fingerprint"))
-            state.completed[rec["key"]] = rec
-            state.failed.pop(rec["key"], None)
-            state.interrupted.pop(rec["key"], None)
+            state.completed[key] = rec
+            state.failed.pop(key, None)
+            state.interrupted.pop(key, None)
         elif kind == "task_failed":
-            state.failed[rec["key"]] = rec
-            state.completed.pop(rec["key"], None)
+            state.failed[key] = rec
+            state.completed.pop(key, None)
         elif kind == "task_interrupted":
-            if rec["key"] not in state.completed:
-                state.interrupted[rec["key"]] = rec
+            if key not in state.completed:
+                state.interrupted[key] = rec
         elif kind == "run_end":
             state.complete = rec.get("status") == "complete"
-        else:  # forward-compatible: unknown record types are ignored
-            pass
+        # unknown record types are ignored (forward compatibility)
     if state.meta is None:
         raise JournalError(
             f"{path}: no valid run_start record — not a journal "
             "(or corrupted beyond recovery)"
         )
     return state
+
+
+def try_load_journal(
+    path: Union[str, os.PathLike]
+) -> Optional[JournalState]:
+    """:func:`load_journal`, or None when ``path`` is absent or holds
+    no journal: the caller starts over."""
+    try:
+        return load_journal(path)
+    except (JournalError, OSError):
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +325,10 @@ def verify_journal(path: Union[str, os.PathLike]) -> Dict[str, Any]:
     """Integrity report: record counts, checksum failures, torn tail,
     orphaned atomic-write temp files next to the journal, completion
     status.  ``ok`` is True iff no interior corruption."""
-    state = load_journal(path)
+    return _verify_doc(load_journal(path))
+
+
+def _verify_doc(state: JournalState) -> Dict[str, Any]:
     pending = [
         k for k in state.dispatched
         if k not in state.completed and k not in state.failed
@@ -403,31 +358,24 @@ def journal_summary(path: Union[str, os.PathLike]) -> Dict[str, Any]:
     """The ``repro journal show`` document: run metadata plus one entry
     per task in journal order (status, timing, worker)."""
     state = load_journal(path)
-    doc = verify_journal(path)
+    doc = _verify_doc(state)
     meta = state.meta or {}
-    doc["keys"] = meta.get("keys")
-    doc["scale"] = meta.get("scale")
-    doc["jobs"] = meta.get("jobs")
-    doc["fault_spec"] = meta.get("fault_spec")
-    doc["fault_seed"] = meta.get("fault_seed")
-    doc["resumed"] = meta.get("resumed")
-    entries: List[Dict[str, Any]] = []
-    for rec in state.completed.values():
-        entries.append({
-            "label": rec["label"], "status": "done",
-            "seconds": rec.get("seconds"), "worker": rec.get("worker"),
-        })
-    for rec in state.failed.values():
-        entries.append({
-            "label": rec["label"], "status": "failed",
-            "seconds": rec.get("seconds"), "error": rec.get("error"),
-        })
-    for rec in state.interrupted.values():
-        entries.append({
-            "label": rec["label"], "status": "interrupted",
-            "reason": rec.get("reason"),
-        })
-    doc["entries"] = entries
+    for name in ("keys", "scale", "jobs", "fault_spec", "fault_seed",
+                 "resumed"):
+        doc[name] = meta.get(name)
+    doc["entries"] = [
+        {"label": rec["label"], "status": "done",
+         "seconds": rec.get("seconds"), "worker": rec.get("worker")}
+        for rec in state.completed.values()
+    ] + [
+        {"label": rec["label"], "status": "failed",
+         "seconds": rec.get("seconds"), "error": rec.get("error")}
+        for rec in state.failed.values()
+    ] + [
+        {"label": rec["label"], "status": "interrupted",
+         "reason": rec.get("reason")}
+        for rec in state.interrupted.values()
+    ]
     return doc
 
 

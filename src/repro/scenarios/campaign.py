@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.atomicio import atomic_write_text, canonical_json
+from ..core.frozen import load_frozen
 from ..exec.journal import JournalWriter, load_journal, task_key
 from ..exec.scheduler import Scheduler, TaskResult
 from ..exec.tasks import Task
@@ -47,7 +48,6 @@ __all__ = [
     "run_campaign",
     "freeze_scenario",
     "replay_frozen",
-    "replay_paths",
 ]
 
 #: frozen-regression document format version.
@@ -407,10 +407,9 @@ def replay_frozen(path: Path) -> Dict[str, Any]:
     when it was frozen.
     """
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise CampaignError(f"cannot load frozen scenario {path}: {exc}")
+    doc = load_frozen(
+        path, "frozen scenario", {"name": str, "spec": dict, "expect": dict}
+    )
     if doc.get("version") != FROZEN_VERSION:
         raise CampaignError(
             f"{path}: unsupported frozen-scenario version "
@@ -418,7 +417,7 @@ def replay_frozen(path: Path) -> Dict[str, Any]:
         )
     spec = ScenarioSpec.from_dict(doc["spec"])
     payload = run_scenario(spec)
-    expected = doc["expect"]["digest"]
+    expected = doc["expect"].get("digest")
     return {
         "path": str(path),
         "name": doc["name"],
@@ -428,13 +427,3 @@ def replay_frozen(path: Path) -> Dict[str, Any]:
         "ok": payload["digest"] == expected,
         "passed": payload["passed"],
     }
-
-
-def replay_paths(target: Path) -> List[Path]:
-    """Frozen-scenario files behind a CLI replay target (file or dir)."""
-    target = Path(target)
-    if target.is_dir():
-        return sorted(target.glob("*.json"))
-    if target.is_file():
-        return [target]
-    raise CampaignError(f"no frozen scenarios at {target}")

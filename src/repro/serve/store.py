@@ -1,18 +1,14 @@
-"""The serve daemon's durable job database.
+"""The serve daemon's durable job database: the schema of ``jobs.log``.
 
-One append-only, fsync'd, checksummed JSONL file (``jobs.log``) is the
-single source of truth for the queue.  It reuses the exact record
-discipline of :mod:`repro.exec.journal` — each line is
-``encode_record``-framed (canonical JSON + sha256[:16] ``check``), a
-torn final line is dropped silently, a corrupt interior line is
-skipped and counted — so the recovery guarantees proven for run
-journals carry over to the job queue verbatim.
+``jobs.log`` is a :class:`~repro.core.atomicio.RecordLog` — the single
+source of truth for the queue, with that type's framing and recovery
+rules.
 
 State-dir layout::
 
     STATE_DIR/
       serve.lock          advisory FileLock serialising appends + ids
-      jobs.log            the job WAL (this module)
+      jobs.log            the job log (this module)
       journals/JOB.jsonl  per-job run journal (repro.exec.journal)
       results/JOB.json    final result document (atomic_write_text)
       metrics/            MetricsStore of per-job metric documents
@@ -36,15 +32,8 @@ it, so a worker that finishes after the cancel cannot resurrect the
 job.  Every record carries a wall-clock ``t``; time drives *lease
 expiry and backoff gating only*, never results or digests, so the
 queue's outputs stay deterministic while its scheduling is temporal.
-
-Replay is incremental: a :class:`JobStore` keeps the fold of the
-log's complete lines and the byte offset it reached, and each
-:meth:`JobStore.load` folds only what was appended since.  That rests
-on one contract: ``jobs.log`` is append-only.  Every writer goes
-through ``_append_locked`` or :func:`repair_torn_tail`, and those only
-ever drop an incomplete final line, never a complete one.  A log that
-was replaced (new inode) or shrank below the offset is replayed from
-the start, and a new process always starts with a full replay.
+A record that lacks a field its type needs, or carries a field of the
+wrong type, is corrupt.
 """
 
 from __future__ import annotations
@@ -57,15 +46,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Union
 
-from ..core.atomicio import (
-    FileLock,
-    durable_append,
-    fsync_dir,
-    orphan_tmp_files,
-    repair_torn_tail,
-)
+from ..core.atomicio import FileLock, RecordLog, conforms, orphan_tmp_files
 from ..exec.backoff import backoff_delay
-from ..exec.journal import JournalError, decode_record, encode_record
 
 __all__ = [
     "JOB_KINDS",
@@ -87,6 +69,29 @@ JOB_TERMINAL_STATUSES = ("done", "failed", "cancelled")
 #: scheduler's fresh-pool retries; see :mod:`repro.exec.backoff`).
 REDISPATCH_BASE_S = 0.25
 REDISPATCH_CAP_S = 30.0
+
+#: Fields each record type needs before it can be folded.
+_NEEDS = {
+    "job_submitted": ("job", "kind"),
+    "job_leased": ("job",),
+    "job_heartbeat": ("job",),
+    "job_requeued": ("job",),
+    "job_done": ("job",),
+    "job_failed": ("job",),
+    "job_cancelled": ("job",),
+}
+
+#: The types a field must have, in any record that carries it.
+_TYPES = {
+    "job": str,
+    "kind": str,
+    "spec": (dict, type(None)),
+    "t": (int, float),
+    "attempt": int,
+    "delay": (int, float),
+    "timeout": (int, float, type(None)),
+    "digests": (dict, type(None)),
+}
 
 
 class ServeStoreError(ValueError):
@@ -189,14 +194,26 @@ class ServeState:
         return [j for j in self.jobs.values() if not j.terminal]
 
 
-def _apply(state: ServeState, rec: Dict[str, Any], owned: Set[str]) -> None:
-    """Fold one decoded record into the replayed state.
+def _fold(
+    state: ServeState, records: List[Dict[str, Any]], owned: Set[str]
+) -> None:
+    """Fold decoded records into the replayed state; a record of the
+    wrong shape counts as corrupt and changes nothing.
 
     ``owned`` names the records of ``state`` that no snapshot shares;
     any other record is copied before its first change, so a state
     handed out earlier never changes under its holder.
     """
-    kind = rec.get("type")
+    for rec in records:
+        if conforms(rec, _NEEDS, _TYPES):
+            state.records += 1
+            _apply(state, rec, owned)
+        else:
+            state.corrupt_records += 1
+
+
+def _apply(state: ServeState, rec: Dict[str, Any], owned: Set[str]) -> None:
+    kind = rec["type"]
     t = float(rec.get("t", 0.0))
     if kind == "job_submitted":
         state.jobs[rec["job"]] = JobRecord(
@@ -255,39 +272,19 @@ def _apply(state: ServeState, rec: Dict[str, Any], owned: Set[str]) -> None:
     # unknown record types are ignored (forward compatibility)
 
 
-def _fold(state: ServeState, data: bytes, owned: Set[str]) -> str:
-    """Fold the complete lines of ``data`` into ``state``: a corrupt
-    line is skipped and counted.  Returns the unterminated remainder
-    (``""`` when ``data`` ends with a newline)."""
-    # errors="replace": on-disk byte rot degrades to one corrupt
-    # record, never an undecodable store.  A stray \r ends a line, as
-    # it did when the log was read in text mode.
-    text = data.decode("utf-8", errors="replace")
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    rest = lines.pop()
-    for line in lines:
-        try:
-            rec = decode_record(line)
-        except JournalError:
-            state.corrupt_records += 1
-            continue
-        state.records += 1
-        _apply(state, rec, owned)
-    return rest
-
-
 class JobStore:
     """Filesystem handle on one serve state directory.
 
     All appends and id assignment happen under the ``serve.lock``
     FileLock so the daemon, its workers, and any CLI client can share
-    the log safely; reads replay the log without locking (the WAL
+    the log safely; reads replay the log without locking (the record
     framing makes a mid-append read safe — the unfinished line fails
     its checksum and is dropped as a torn tail).
 
-    Each instance caches the fold of the log's complete lines (see the
-    module docstring); a thread lock guards it, so threads may share
-    one store.
+    Each instance caches the fold of the log's complete lines and
+    folds only the records its :class:`~repro.core.atomicio.RecordLog`
+    reads past them; a thread lock guards the cache, so threads may
+    share one store.  A new process always starts with a full replay.
     """
 
     LOCK_NAME = "serve.lock"
@@ -300,14 +297,13 @@ class JobStore:
         self.journals_dir = self.state_dir / "journals"
         self.results_dir = self.state_dir / "results"
         self.metrics_dir = self.state_dir / "metrics"
+        self._log = RecordLog(self.log_path)
         self._cache_lock = threading.Lock()
-        self._reset(None)
+        self._reset()
 
-    def _reset(self, inode: Optional[int]) -> None:
-        """Forget the cached fold; the next read replays from byte 0."""
+    def _reset(self) -> None:
+        """Forget the cached fold."""
         self._folded = ServeState()
-        self._offset = 0
-        self._inode = inode
         #: Cached records no snapshot has been handed yet.
         self._owned: Set[str] = set()
 
@@ -315,27 +311,12 @@ class JobStore:
         return FileLock(self.state_dir / self.LOCK_NAME)
 
     # -- append side -------------------------------------------------------
-    def _append_locked(self, doc: Dict[str, Any]) -> None:
-        """One durable record append; caller holds ``serve.lock``.
-
-        Repairs a torn tail (a previous writer crashed mid-append)
-        before appending — otherwise the new record would fuse onto the
-        partial line and both would be lost as one corrupt record.
-        """
-        existed = self.log_path.exists()
-        if existed:
-            repair_torn_tail(self.log_path)
-        with open(self.log_path, "a") as f:
-            durable_append(f, encode_record(doc))
-        if not existed:
-            fsync_dir(self.state_dir)
-
     def append(self, doc: Dict[str, Any], t: Optional[float] = None) -> None:
         """Durably append one record (lock → repair → write → fsync →
         unlock)."""
         doc = {**doc, "t": time.time() if t is None else t}
         with self._lock():
-            self._append_locked(doc)
+            self._log.append(doc)
 
     def submit(self, kind: str, spec: Dict[str, Any]) -> str:
         """Assign the next ``job-NNNNNN`` id and journal the submit."""
@@ -353,7 +334,7 @@ class JobStore:
                  if j.startswith("job-")), default=0,
             )
             job_id = f"job-{seq:06d}"
-            self._append_locked({
+            self._log.append({
                 "type": "job_submitted",
                 "job": job_id,
                 "kind": kind,
@@ -411,47 +392,32 @@ class JobStore:
 
     # -- read side ---------------------------------------------------------
     def load(self) -> ServeState:
-        """Replay ``jobs.log`` with the WAL recovery rules: torn tail
-        dropped, corrupt interior skipped and counted.
+        """Replay ``jobs.log``; an absent log is an empty queue.
 
-        Only the bytes appended since the previous load are read.  The
-        returned state is a snapshot: later loads never change it.  An
-        unterminated final line is applied to the snapshot alone (or
-        flags ``torn_tail`` when it does not decode) and is read again
-        next time, when it may have been completed or repaired away.
+        Only the records appended since the previous load are folded.
+        The returned state is a snapshot: later loads never change it.
+        The log's unterminated end is folded into the snapshot alone.
         """
         with self._cache_lock:
             try:
-                f = open(self.log_path, "rb")
+                reset, (records, corrupt), (tail, tail_corrupt, torn) = \
+                    self._log.read()
             except FileNotFoundError:
-                self._reset(None)
+                self._reset()
                 return ServeState()
-            with f:
-                st = os.fstat(f.fileno())
-                if st.st_ino != self._inode or st.st_size < self._offset:
-                    self._reset(st.st_ino)
-                f.seek(self._offset)
-                data = f.read()
-            complete = data.rfind(b"\n") + 1
-            _fold(self._folded, data[:complete], self._owned)
-            self._offset += complete
+            if reset:
+                self._reset()
+            _fold(self._folded, records, self._owned)
+            self._folded.corrupt_records += corrupt
             snapshot = ServeState(
                 jobs=dict(self._folded.jobs),
                 records=self._folded.records,
-                corrupt_records=self._folded.corrupt_records,
+                corrupt_records=self._folded.corrupt_records + tail_corrupt,
+                torn_tail=torn,
             )
             self._owned.clear()
         # The tail touches the snapshot only: copy what it changes.
-        owned: Set[str] = set()
-        last = _fold(snapshot, data[complete:], owned)
-        if last:
-            try:
-                rec = decode_record(last)
-            except JournalError:
-                snapshot.torn_tail = True
-            else:
-                snapshot.records += 1
-                _apply(snapshot, rec, owned)
+        _fold(snapshot, tail, set())
         return snapshot
 
     def get(

@@ -63,7 +63,7 @@ import time
 from typing import Any, Dict, Optional, Tuple
 
 from ..core.atomicio import atomic_write_text, canonical_json
-from ..exec.journal import RESUMABLE_EXIT_CODE, JournalError, load_journal
+from ..exec.journal import RESUMABLE_EXIT_CODE, try_load_journal
 from .store import JobStore
 
 __all__ = ["execute_job", "finalize_job", "main", "template_main"]
@@ -138,17 +138,11 @@ def _execute_run(
     keys = list(REGISTRY) if key == "all" else [key]
     scale = spec.get("scale", "ci")
     journal_path = store.journal_path(job_id)
-    resume_state = None
-    if journal_path.exists():
-        try:
-            resume_state = load_journal(journal_path)
-        except JournalError:
-            resume_state = None  # unusable first-attempt tail: start over
     engine = Engine(
         jobs=int(spec.get("jobs", 1)),
         fault_spec=spec.get("faults"),
         fault_seed=int(spec.get("seed", 0)),
-        resume_state=resume_state,
+        resume_state=try_load_journal(journal_path),
         cancel_event=cancel,
         grace=float(spec.get("grace", 5.0)),
     )
@@ -200,13 +194,7 @@ def _execute_campaign(
     name, specs = resolve_selector(spec.get("selector", "mixed-chaos"))
     plan = plan_campaign(name, specs, budget=spec.get("budget"))
     journal_path = store.journal_path(job_id)
-    resume: Optional[str] = None
-    if journal_path.exists():
-        try:
-            load_journal(journal_path)
-            resume = str(journal_path)
-        except JournalError:
-            resume = None
+    resume = str(journal_path) if try_load_journal(journal_path) else None
     doc = run_campaign(
         plan,
         jobs=int(spec.get("jobs", 1)),

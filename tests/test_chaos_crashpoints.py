@@ -139,23 +139,40 @@ class TestFrozenRegressions:
         with pytest.raises(ValueError):
             replay_crashpoint(bogus)
 
+    @pytest.mark.parametrize("text, match", [
+        ("5", "not a JSON object"),
+        ('{"workload": "stores", "seed": null, "k": 2}', "'seed' is"),
+        ('{"workload": "stores", "seed": 7}', "missing 'k'"),
+    ])
+    def test_malformed_frozen_file_exits_2(
+        self, tmp_path, capsys, text, match
+    ):
+        from repro.cli import main
+        from repro.core.frozen import FrozenFileError
+
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(FrozenFileError, match=match):
+            replay_crashpoint(path)
+        assert main(["chaos", "replay", str(path)]) == 2
+        assert match in capsys.readouterr().err
+
     def test_sweep_catches_the_torn_append_bug_again(self, monkeypatch):
         """The regression the goldens freeze: without the torn-tail
         repair before appends, a partial record fuses with the next
         append and both are lost.  Disabling the repair must make the
         frozen crashpoints bite again — proof the sweep detects this
         fault path and the fix is what handles it."""
-        import repro.exec.journal as journal_mod
-        import repro.serve.store as store_mod
+        import repro.core.atomicio as atomicio
 
-        monkeypatch.setattr(journal_mod, "repair_torn_tail", lambda p: 0)
-        monkeypatch.setattr(store_mod, "repair_torn_tail", lambda p: 0)
+        monkeypatch.setattr(atomicio, "repair_torn_tail", lambda p: 0)
         baseline, _ = enumerate_points("stores")
         bitten = [
             k for k in (2, 6)  # the frozen journal/job-log torn appends
             if not run_crashpoint("stores", 7, k, baseline)["ok"]
         ]
-        assert bitten, "disabled repair should re-expose the torn bug"
+        assert bitten == [2, 6], \
+            "disabled repair should re-expose the torn bug"
 
 
 class TestChaosCLI:

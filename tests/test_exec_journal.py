@@ -27,7 +27,7 @@ from repro.exec import (
     task_key,
     verify_journal,
 )
-from repro.exec.journal import decode_record, encode_record
+from repro.core.atomicio import RecordError, decode_record, encode_record
 from repro.exec.cache import source_fingerprint
 
 
@@ -60,15 +60,15 @@ class TestRecordCodec:
 
     def test_tampered_record_rejected(self):
         line = encode_record({"type": "task_done", "key": "abc"})
-        with pytest.raises(JournalError, match="checksum"):
+        with pytest.raises(RecordError, match="checksum"):
             decode_record(line.replace("abc", "abd"))
 
     def test_non_json_rejected(self):
-        with pytest.raises(JournalError, match="undecodable"):
+        with pytest.raises(RecordError, match="undecodable"):
             decode_record("not json at all")
 
     def test_untyped_record_rejected(self):
-        with pytest.raises(JournalError, match="typed"):
+        with pytest.raises(RecordError, match="typed"):
             decode_record(json.dumps({"key": "x"}))
 
     def test_task_key_ignores_trace_flag(self):
@@ -220,6 +220,44 @@ class TestVerifyAndSummary:
         labels = {e["label"] for e in doc["entries"]}
         assert labels == {"test[n=0]", "test[n=1]"}
         assert all(e["status"] == "done" for e in doc["entries"])
+
+
+class TestRecordShape:
+    """A record that decodes but has the wrong shape is one corrupt
+    record, never a crash in a reader."""
+
+    @pytest.mark.parametrize("bad", [
+        {"type": "task_done", "label": "x", "payload": "", "seconds": 0.1},
+        {"type": "task_done", "key": "k", "seconds": 0.1},
+        {"type": "task_failed", "key": ["k"], "label": "x"},
+        {"type": "task_interrupted", "label": "x"},
+        {"type": "task_dispatch", "label": "x"},
+        {"type": "task_done", "key": "k", "label": "x", "seconds": "1"},
+        {"type": "task_done", "key": "k", "label": "x", "index": "0"},
+        {"type": "task_done", "key": "k", "label": "x", "guard": [1]},
+    ], ids=["no-key", "no-label", "list-key", "interrupted-no-key",
+            "dispatch-no-key", "str-seconds", "str-index", "list-guard"])
+    def test_wrong_shape_counts_as_corrupt(self, tmp_path, capsys, bad):
+        from repro.cli import main
+        from repro.exec import guard_summary
+
+        path = tmp_path / "run.jnl"
+        tasks = _write_run(path, n=2, status=None)
+        with open(path, "a") as f:
+            f.write(encode_record(bad))
+        with JournalWriter(path) as w:
+            w.run_end("complete")
+        state = load_journal(path)
+        assert state.corrupt_records == 1
+        assert state.records == 1 + 2 * 2 + 1
+        assert set(state.completed) == {task_key(t) for t in tasks}
+        assert not verify_journal(path)["ok"]
+        assert len(journal_summary(path)["entries"]) == 2
+        assert guard_summary(path)["mode"] == "off"
+        assert main(["journal", "verify", str(path), "--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["corrupt_records"] == 1
+        assert main(["journal", "show", str(path)]) == 0
+        assert main(["guard", "report", str(path)]) == 0
 
 
 class TestEngineResume:

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.frozen import FrozenFileError, frozen_paths
 from repro.scenarios import scenario
 from repro.scenarios.autopilot import run_autopilot
 from repro.scenarios.campaign import (
@@ -20,7 +21,6 @@ from repro.scenarios.campaign import (
     freeze_scenario,
     plan_campaign,
     replay_frozen,
-    replay_paths,
     resolve_selector,
     run_campaign,
 )
@@ -138,13 +138,32 @@ class TestFreezeReplay:
         path = freeze_scenario(entry, tmp_path)
         assert replay_frozen(path)["ok"] is False
 
-    def test_replay_paths_handles_dir_file_missing(self, tmp_path):
+    def test_frozen_paths_handles_dir_file_missing(self, tmp_path):
         (tmp_path / "a.json").write_text("{}")
         (tmp_path / "b.json").write_text("{}")
-        assert len(replay_paths(tmp_path)) == 2
-        assert replay_paths(tmp_path / "a.json") == [tmp_path / "a.json"]
-        with pytest.raises(CampaignError, match="no frozen"):
-            replay_paths(tmp_path / "missing")
+        kind = "frozen scenario"
+        assert len(frozen_paths([tmp_path], kind)) == 2
+        assert frozen_paths([tmp_path / "a.json"], kind) == \
+            [tmp_path / "a.json"]
+        with pytest.raises(FrozenFileError, match="no frozen scenarios"):
+            frozen_paths([tmp_path / "missing"], kind)
+
+    @pytest.mark.parametrize("text, match", [
+        ("5", "not a JSON object"),
+        ('{"version": 1, "name": "x"}', "missing 'spec'"),
+        ('{"version": 1, "name": "x", "spec": [], "expect": {}}',
+         "'spec' is list"),
+        ("{not json", "cannot load frozen scenario"),
+    ])
+    def test_malformed_frozen_file_is_a_typed_error(
+        self, tmp_path, capsys, text, match
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(FrozenFileError, match=match):
+            replay_frozen(path)
+        assert main(["campaign", "replay", str(path)]) == 2
+        assert match in capsys.readouterr().err
 
 
 class TestAutopilot:

@@ -425,7 +425,7 @@ class TestEventDrivenLoop:
 
 
 def _log_records(store):
-    from repro.exec.journal import decode_record
+    from repro.core.atomicio import decode_record
 
     return [
         decode_record(line)

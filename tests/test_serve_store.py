@@ -31,9 +31,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.atomicio import FileLock, FileLockTimeout, repair_torn_tail
+from repro.core.atomicio import (
+    FileLock,
+    FileLockTimeout,
+    encode_record,
+    repair_torn_tail,
+)
 from repro.exec.backoff import backoff_delay, backoff_schedule
-from repro.exec.journal import encode_record
 from repro.serve.store import (
     JobStore,
     ServeStoreError,
@@ -183,6 +187,41 @@ class TestJobLogReplay:
         depths = store.load().by_status()
         assert depths == {"queued": 1, "leased": 1, "done": 0,
                           "failed": 0, "cancelled": 1}
+
+
+class TestRecordShape:
+    """A record that decodes but has the wrong shape is one corrupt
+    record: it never crashes a load and never half-applies to a job."""
+
+    @pytest.mark.parametrize("bad", [
+        {"type": "job_submitted", "job": "job-000002", "spec": {}},
+        {"type": "job_submitted", "kind": "run", "spec": {}},
+        {"type": "job_submitted", "job": "job-000002", "kind": "run",
+         "spec": [1]},
+        {"type": "job_leased", "job": "job-000001", "attempt": "2"},
+        {"type": "job_leased", "job": "job-000001", "timeout": "30"},
+        {"type": "job_requeued", "job": "job-000001", "delay": "1"},
+        {"type": "job_done", "job": "job-000001", "t": "late"},
+        {"type": "job_done", "job": ["job-000001"]},
+        {"type": "job_failed"},
+        {"type": "job_done", "job": "job-000001", "digests": "ff"},
+    ], ids=["no-kind", "no-job", "list-spec", "str-attempt",
+            "str-timeout", "str-delay", "str-t", "list-job",
+            "failed-no-job", "str-digests"])
+    def test_wrong_shape_counts_as_corrupt(self, tmp_path, bad):
+        store = JobStore(tmp_path)
+        job = store.submit("run", {"key": "lst1"})
+        store.job_leased(job, 1, pid=1, timeout=30.0)
+        before = _view(store.load())
+        with open(store.log_path, "a") as f:
+            f.write(encode_record(bad))
+        state = store.load()
+        assert state.corrupt_records == 1
+        jobs, records, _, _ = _view(state)
+        assert (jobs, records) == before[:2]  # nothing half-applied
+        assert _view(JobStore(tmp_path).load()) == _view(state)
+        assert store.health(state)["corrupt_records"] == 1
+        assert not state.jobs[job].lease_stale(time.time())
 
 
 def _view(state):
