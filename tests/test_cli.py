@@ -1,8 +1,50 @@
 """Tests for the repro CLI (python -m repro)."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def _parser_doc(parser, path="repro", help=None, out=None):
+    """Every parser path's prog, help and actions, in declaration order.
+
+    ``type`` is left out on purpose: converters are checked by the
+    invocation tests, and their reprs differ across Python versions."""
+    out = {} if out is None else out
+    groups = [set(map(id, g._group_actions))
+              for g in parser._mutually_exclusive_groups]
+    actions, children = [], []
+    for action in parser._actions:
+        choices = action.choices
+        if isinstance(action, argparse._SubParsersAction):
+            helps = {a.dest: a.help for a in action._choices_actions}
+            children += [(name, sub, helps.get(name))
+                         for name, sub in action.choices.items()]
+            choices = list(choices)
+        actions.append({
+            "option_strings": action.option_strings,
+            "dest": action.dest,
+            "default": action.default,
+            "choices": None if choices is None else list(choices),
+            "nargs": action.nargs,
+            "required": action.required,
+            "metavar": action.metavar,
+            "help": action.help,
+            "group": next((i for i, g in enumerate(groups)
+                           if id(action) in g), None),
+        })
+    out[path] = {"prog": parser.prog, "help": help, "actions": actions}
+    for name, sub, sub_help in children:
+        _parser_doc(sub, f"{path} {name}", sub_help, out)
+    return out
+
+
+def test_parser_matches_golden(golden):
+    """Every flag, default, help string and subcommand of ``repro`` as
+    committed in ``tests/golden/cli.json``."""
+    golden("cli.json", _parser_doc(build_parser()))
 
 
 class TestParser:
@@ -386,3 +428,97 @@ class TestJournalCommands:
         assert main(["run", "fig2", "--quiet", "--journal", str(path)]) == 0
         capsys.readouterr()
         assert main(["run", "fig5", "--quiet", "--resume", str(path)]) == 2
+
+
+#: Malformed invocations: (argv, stderr fragment, probed output that must
+#: stay unwritten).  ``{tmp}`` is the test's tmp_path.  Each one exits 2
+#: before any experiment work.
+MALFORMED = [
+    pytest.param(["faults", "--nranks", "0", "--metrics-dir", "{tmp}/M"],
+                 "argument --nranks: must be >= 1, got 0", "M",
+                 id="faults-nranks-0"),
+    pytest.param(["faults", "--nranks", "-3"],
+                 "argument --nranks: must be >= 1, got -3", None,
+                 id="faults-nranks-negative"),
+    pytest.param(["faults", "--repetitions", "0", "--trace", "{tmp}/t.json"],
+                 "argument --repetitions: must be >= 1, got 0", "t.json",
+                 id="faults-repetitions-0"),
+    pytest.param(["faults", "--severities", ",", "--metrics-dir", "{tmp}/M"],
+                 "no fault severities given", "M",
+                 id="faults-severities-empty"),
+    pytest.param(["chaos", "crashpoints", "--budget", "1", "--workloads",
+                  "stores", "--out", "{tmp}/missing/x.json"],
+                 "cannot write verdict document", "missing/x.json",
+                 id="chaos-out-missing-dir"),
+    pytest.param(["chaos", "crashpoints", "--jobs", "0"],
+                 "argument --jobs: must be >= 1, got 0", None,
+                 id="chaos-jobs-0"),
+    pytest.param(["run", "fig1", "--retries", "-1", "--trace", "{tmp}/t.json"],
+                 "argument --retries: must be >= 0, got -1", "t.json",
+                 id="run-retries-negative"),
+    pytest.param(["run", "fig1", "--grace", "-1", "--trace", "{tmp}/t.json"],
+                 "grace must be >= 0", "t.json", id="run-grace-negative"),
+    pytest.param(["run", "fig1", "--task-timeout", "-1",
+                  "--metrics-dir", "{tmp}/M"],
+                 "task_timeout must be positive", "M",
+                 id="run-task-timeout-negative"),
+    pytest.param(["run", "fig1", "--watchdog", "0",
+                  "--journal", "{tmp}/j.jsonl"],
+                 "heartbeat_timeout must be positive", "j.jsonl",
+                 id="run-watchdog-0"),
+    pytest.param(["campaign", "autopilot", "--freeze", "-1", "--budget", "2",
+                  "--out", "{tmp}/a.json"],
+                 "argument --freeze: must be >= 0, got -1", "a.json",
+                 id="autopilot-freeze-negative"),
+    pytest.param(["trace", "summarize", "{tmp}/t.json", "--top", "-1"],
+                 "argument --top: must be >= 0, got -1", None,
+                 id="trace-top-negative"),
+    pytest.param(["bench", "trend", "--store", "{tmp}", "--last", "0"],
+                 "argument --last: must be >= 1, got 0", None,
+                 id="bench-last-0"),
+    pytest.param(["campaign", "run", "mixed-chaos", "--budget", "0",
+                  "--out", "{tmp}/c.json"],
+                 "argument --budget: must be >= 1, got 0", "c.json",
+                 id="campaign-budget-0"),
+    pytest.param(["run", "fig1", "--jobs", "-1"],
+                 "argument --jobs: must be >= 0 (0 = one per CPU), got -1",
+                 None, id="run-jobs-negative"),
+    pytest.param(["run", "fig1", "--guard-cadence", "0"],
+                 "argument --guard-cadence: must be >= 1, got 0", None,
+                 id="run-guard-cadence-0"),
+]
+
+
+@pytest.mark.parametrize("argv, message, output", MALFORMED)
+def test_malformed_invocation_is_a_usage_error(
+    argv, message, output, tmp_path, capsys
+):
+    """Exit 2 with the flag's own one-line complaint: no traceback, no
+    'bad fault spec' for a flag that is not one, nothing written."""
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "bad fault spec" not in err
+    assert message in err
+    if output is not None:
+        path = tmp_path / output
+        written = path.is_dir() and any(path.iterdir()) or (
+            path.is_file() and path.stat().st_size > 0)
+        assert not written, f"{path} was written"
+
+
+def test_bounded_int_flags_accept_their_bound(capsys):
+    assert main(["faults", "--nranks", "1", "--repetitions", "1",
+                 "--severities", "off", "--json"]) == 0
+    assert '"nranks": 1' in capsys.readouterr().out
+    args = build_parser().parse_args(
+        ["run", "fig1", "--retries", "0", "--jobs", "0"])
+    assert (args.retries, args.jobs) == (0, 0)
+    args = build_parser().parse_args(
+        ["campaign", "autopilot", "--freeze", "0"])
+    assert args.freeze == 0
+
+
+def test_bad_int_names_the_type(capsys):
+    assert main(["run", "fig1", "--jobs", "x"]) == 2
+    assert "argument --jobs: invalid int value: 'x'" in (
+        capsys.readouterr().err)

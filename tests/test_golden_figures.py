@@ -13,20 +13,20 @@ Updating the snapshots (after an *intentional* model change)::
         --update-golden
     git diff tests/golden/      # inspect the drift, then commit it
 
-The comparison allows a tiny relative tolerance (1e-9) so snapshots
-survive libm differences between platforms; anything larger is a real
-behaviour change.
+The comparison (the shared ``golden`` fixture in ``conftest.py``)
+allows a tiny relative tolerance (1e-9) so snapshots survive libm
+differences between platforms; anything larger is a real behaviour
+change.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict
 
 import pytest
 
-from repro.core.atomicio import atomic_write_text
 from repro.core.benchmark import SweepResult
 from repro.core.experiments import REGISTRY
 
@@ -35,10 +35,6 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 #: Experiments with sweep-shaped results worth pinning (fig4 returns
 #: arrays, lst1 a listing — both covered by their own tests).
 GOLDEN_KEYS = ["fig1", "fig2", "fig3", "fig5"]
-
-#: Relative tolerance for value comparison: generous enough for libm
-#: variation across CI platforms, far below any real model change.
-RTOL = 1e-9
 
 
 def _sweep_doc(result: Any) -> Dict[str, Any]:
@@ -56,76 +52,13 @@ def _sweep_doc(result: Any) -> Dict[str, Any]:
     return {name: _sweep_doc(panel) for name, panel in result.items()}
 
 
-def _flatten(doc: Any, prefix: str = "") -> Dict[str, Any]:
-    """Flatten nested dicts/lists to ``path -> leaf`` for diffing."""
-    out: Dict[str, Any] = {}
-    if isinstance(doc, dict):
-        for k, v in doc.items():
-            out.update(_flatten(v, f"{prefix}/{k}"))
-    elif isinstance(doc, list):
-        for i, v in enumerate(doc):
-            out.update(_flatten(v, f"{prefix}[{i}]"))
-    else:
-        out[prefix] = doc
-    return out
-
-
-def _close(a: Any, b: Any) -> bool:
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        if a == b:
-            return True
-        scale = max(abs(a), abs(b))
-        return abs(a - b) <= RTOL * scale
-    return a == b
-
-
-def _diff(golden: Dict[str, Any], current: Dict[str, Any]) -> List[str]:
-    """Readable per-point drift report between two flattened docs."""
-    gold_flat = _flatten(golden)
-    cur_flat = _flatten(current)
-    lines: List[str] = []
-    for path in sorted(set(gold_flat) - set(cur_flat)):
-        lines.append(f"  {path}: in golden, missing from current run")
-    for path in sorted(set(cur_flat) - set(gold_flat)):
-        lines.append(f"  {path}: new in current run, not in golden")
-    for path in sorted(set(gold_flat) & set(cur_flat)):
-        g, c = gold_flat[path], cur_flat[path]
-        if _close(g, c):
-            continue
-        note = ""
-        if isinstance(g, (int, float)) and isinstance(c, (int, float)):
-            scale = max(abs(g), abs(c))
-            rel = abs(g - c) / scale if scale else 0.0
-            note = f"  (rel drift {rel:.2e})"
-        lines.append(f"  {path}: golden {g!r} != current {c!r}{note}")
-    return lines
-
-
 def _golden_path(key: str) -> Path:
     return GOLDEN_DIR / f"{key}.json"
 
 
 @pytest.mark.parametrize("key", GOLDEN_KEYS)
-def test_golden_figure(key: str, request: pytest.FixtureRequest) -> None:
-    doc = _sweep_doc(REGISTRY[key].run("ci"))
-    path = _golden_path(key)
-    if request.config.getoption("--update-golden"):
-        GOLDEN_DIR.mkdir(exist_ok=True)
-        # Atomic + fsync'd: a crash mid-regeneration can't tear a
-        # committed snapshot in half.
-        atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        pytest.skip(f"regenerated {path}")
-    assert path.exists(), (
-        f"missing golden snapshot {path}; generate it with "
-        f"`pytest {__file__} --update-golden` and commit the result"
-    )
-    golden = json.loads(path.read_text())
-    drift = _diff(golden, doc)
-    assert not drift, (
-        f"{key} drifted from tests/golden/{key}.json "
-        f"({len(drift)} point(s)):\n" + "\n".join(drift) +
-        "\n(intentional? regenerate with --update-golden and commit)"
-    )
+def test_golden_figure(key: str, golden) -> None:
+    golden(f"{key}.json", _sweep_doc(REGISTRY[key].run("ci")))
 
 
 def test_golden_snapshots_all_committed() -> None:

@@ -21,21 +21,14 @@ change with ``pytest tests/test_guard_golden.py --update-golden``.
 
 from __future__ import annotations
 
-import json
 import pickle
-from pathlib import Path
 from typing import Any, Dict
 
 import numpy as np
 import pytest
 
-from repro.core.atomicio import atomic_write_text
 from repro.core.experiments import REGISTRY
 from repro.exec import Engine
-
-GOLDEN_PATH = Path(__file__).parent / "golden" / "fig4.json"
-
-RTOL = 1e-9
 
 
 def _field_stats(z: np.ndarray) -> Dict[str, Any]:
@@ -60,43 +53,8 @@ def _fig4_doc(result) -> Dict[str, Any]:
     }
 
 
-def _close(a: Any, b: Any) -> bool:
-    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
-        if a == b:
-            return True
-        scale = max(abs(a), abs(b))
-        return abs(a - b) <= RTOL * scale
-    return a == b
-
-
-def test_fig4_golden_with_guards_off(request: pytest.FixtureRequest):
-    doc = _fig4_doc(REGISTRY["fig4"].run("ci"))
-    if request.config.getoption("--update-golden"):
-        GOLDEN_PATH.parent.mkdir(exist_ok=True)
-        atomic_write_text(
-            GOLDEN_PATH, json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        )
-        pytest.skip(f"regenerated {GOLDEN_PATH}")
-    assert GOLDEN_PATH.exists(), (
-        f"missing golden snapshot {GOLDEN_PATH}; generate it with "
-        f"`pytest {__file__} --update-golden` and commit the result"
-    )
-    golden = json.loads(GOLDEN_PATH.read_text())
-    drift = []
-    for section in sorted(golden):
-        g, c = golden[section], doc[section]
-        if isinstance(g, dict):
-            drift += [
-                f"{section}.{k}: golden {g[k]!r} != current {c[k]!r}"
-                for k in sorted(g) if not _close(g[k], c[k])
-            ]
-        elif not _close(g, c):
-            drift.append(f"{section}: golden {g!r} != current {c!r}")
-    assert not drift, (
-        "fig4 drifted from tests/golden/fig4.json with guards off:\n  "
-        + "\n  ".join(drift)
-        + "\n(intentional? regenerate with --update-golden and commit)"
-    )
+def test_fig4_golden_with_guards_off(golden):
+    golden("fig4.json", _fig4_doc(REGISTRY["fig4"].run("ci")))
 
 
 def test_fig4_byte_identical_under_observe():
