@@ -467,7 +467,7 @@ def _run(args, shutdown, recorder):
     stats = engine.stats
 
     if recorder is not None:
-        stats.publish_metrics(recorder.metrics)
+        stats.publish_metrics(recorder)
     if args.guard_out is not None:
         report = stats.guard_report() or {"mode": args.guard_mode}
         try:

@@ -703,6 +703,15 @@ def render_serve_status(doc) -> str:
     return "\n".join(lines)
 
 
+def _recovery(point) -> str:
+    """The chaos "recovery" cell: ``ok``, or the violated invariants."""
+    if point["ok"]:
+        return "ok"
+    return ", ".join(sorted(
+        n for n, s in point.get("invariants", {}).items() if s == "violated"
+    ))
+
+
 def render_chaos_verdict(doc) -> str:
     """Render the ``repro chaos crashpoints`` verdict document."""
     lines = [
@@ -714,16 +723,11 @@ def render_chaos_verdict(doc) -> str:
             f"  {name}: {wl['points_run']}/{wl['points_total']} "
             "durability point(s) swept"
         )
-    rows = []
-    for p in doc.get("points", []):
-        bad = sorted(
-            n for n, s in p.get("invariants", {}).items()
-            if s == "violated"
-        )
-        rows.append([
-            p["workload"], p["k"], p["op"], p["label"], p["mode"],
-            p["outcome"], "ok" if p["ok"] else ", ".join(bad),
-        ])
+    rows = [
+        [p["workload"], p["k"], p["op"], p["label"], p["mode"],
+         p["outcome"], _recovery(p)]
+        for p in doc.get("points", [])
+    ]
     if rows:
         lines.append(render_table(
             ["workload", "k", "op", "file", "mode", "outcome",
@@ -755,11 +759,7 @@ def render_chaos_replay(verdicts) -> str:
     rows = [
         [
             v.get("frozen", {}).get("path", "-"),
-            v["workload"], v["k"], v["mode"], v["outcome"],
-            "ok" if v["ok"] else ", ".join(sorted(
-                n for n, s in v.get("invariants", {}).items()
-                if s == "violated"
-            )),
+            v["workload"], v["k"], v["mode"], v["outcome"], _recovery(v),
         ]
         for v in verdicts
     ]

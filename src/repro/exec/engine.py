@@ -30,7 +30,7 @@ from ..core.experiments import (
 )
 from ..guard.monitor import parse_guard_mode
 from ..mpi.faults import parse_fault_spec
-from ..obs import MetricsRegistry, TraceRecorder
+from ..obs import TraceRecorder
 from .cache import CacheStats, ResultCache, source_fingerprint
 from .journal import JournalState, JournalWriter, task_key
 from .scheduler import Scheduler, TaskResult
@@ -227,43 +227,39 @@ class RunStats:
 
         return render_run_stats(self)
 
-    def publish_metrics(self, registry: MetricsRegistry) -> None:
-        """Absorb these counters into a :class:`MetricsRegistry` —
-        the one API the ad-hoc stats bags feed when tracing is on."""
-        registry.gauge("exec.jobs").set(self.jobs)
-        registry.counter("exec.experiments").inc(len(self.experiments))
-        registry.counter("exec.experiments.cached").inc(
-            sum(1 for e in self.experiments if e.cached)
+    def publish_metrics(self, recorder: TraceRecorder) -> None:
+        """Absorb these counters into a recorder's metrics — the one
+        document the ad-hoc stats bags feed when tracing is on."""
+        recorder.set_gauge("exec.jobs", self.jobs)
+        recorder.count("exec.experiments", len(self.experiments))
+        recorder.count(
+            "exec.experiments.cached",
+            sum(1 for e in self.experiments if e.cached),
         )
-        registry.counter("exec.experiments.failed").inc(
-            sum(1 for e in self.experiments if not e.passed)
+        recorder.count(
+            "exec.experiments.failed",
+            sum(1 for e in self.experiments if not e.passed),
         )
-        registry.counter("exec.tasks").inc(
-            sum(len(e.tasks) for e in self.experiments)
+        recorder.count(
+            "exec.tasks", sum(len(e.tasks) for e in self.experiments)
         )
-        registry.counter("exec.tasks.failed").inc(self.failed_tasks)
+        recorder.count("exec.tasks.failed", self.failed_tasks)
         for e in self.experiments:
             for t in e.tasks:
-                registry.histogram("exec.task_seconds").observe(t.seconds)
+                recorder.observe("exec.task_seconds", t.seconds)
         if self.cache is not None:
             for name, value in self.cache.as_dict().items():
-                registry.counter(f"cache.{name}").inc(value)
+                recorder.count(f"cache.{name}", value)
         if self.resume is not None:
             for name, value in self.resume.items():
-                registry.counter(f"exec.resume.{name}").inc(value)
+                recorder.count(f"exec.resume.{name}", value)
         if self.interrupted:
-            registry.counter("exec.interrupted").inc(1)
-            registry.counter("exec.tasks.interrupted").inc(
-                self.interrupted_tasks
-            )
+            recorder.count("exec.interrupted")
+            recorder.count("exec.tasks.interrupted", self.interrupted_tasks)
         if self.guard_mode is not None:
-            registry.counter("guard.run.events").inc(self.guard_events)
-            registry.counter("guard.run.violations").inc(
-                self.guard_violations
-            )
-            registry.counter("guard.run.degraded_tasks").inc(
-                self.degraded_tasks
-            )
+            recorder.count("guard.run.events", self.guard_events)
+            recorder.count("guard.run.violations", self.guard_violations)
+            recorder.count("guard.run.degraded_tasks", self.degraded_tasks)
 
 
 class Engine:

@@ -162,12 +162,23 @@ def _heartbeat_loop(hb_dir: str) -> None:  # pragma: no cover - worker side
         time.sleep(_HEARTBEAT_INTERVAL_S)
 
 
+def _orphan_watch(parent: int) -> None:  # pragma: no cover - worker side
+    """Daemon thread in each pool worker: exit once the parent is gone,
+    so a SIGKILLed run leaves no idle orphans behind."""
+    while os.getppid() == parent:
+        time.sleep(_HEARTBEAT_INTERVAL_S)
+    os._exit(1)
+
+
 def _worker_init(
     paths: List[str], hb_dir: Optional[str] = None
 ) -> None:  # pragma: no cover - worker side
     for p in paths:
         if p not in sys.path:
             sys.path.append(p)
+    threading.Thread(
+        target=_orphan_watch, args=(os.getppid(),), daemon=True
+    ).start()
     if hb_dir is not None:
         threading.Thread(
             target=_heartbeat_loop, args=(hb_dir,), daemon=True

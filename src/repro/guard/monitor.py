@@ -133,10 +133,10 @@ class GuardMonitor:
         rec = get_recorder()
         if rec is None:
             return
-        rec.metrics.counter("guard.events").inc()
+        rec.count("guard.events")
         if event.severity == "violation":
-            rec.metrics.counter("guard.violations").inc()
-        rec.metrics.counter(f"guard.site.{event.site}").inc()
+            rec.count("guard.violations")
+        rec.count(f"guard.site.{event.site}")
 
     # -- sentinel entry points --------------------------------------------
     def sentinel(

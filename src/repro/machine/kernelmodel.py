@@ -149,13 +149,12 @@ class StreamKernelModel:
         )
         rec = get_recorder()
         if rec is not None:
-            m = rec.metrics
-            m.counter("kernel.calls").inc()
-            m.counter(f"kernel.calls.{kernel.name}").inc()
-            m.counter("kernel.flops").inc(total_flops)
-            m.counter("kernel.bytes").inc(load_bytes + store_bytes)
-            m.counter(f"kernel.bound.{timing.bound}").inc()
-            m.histogram("kernel.gflops").observe(timing.gflops)
+            rec.count("kernel.calls")
+            rec.count(f"kernel.calls.{kernel.name}")
+            rec.count("kernel.flops", total_flops)
+            rec.count("kernel.bytes", load_bytes + store_bytes)
+            rec.count(f"kernel.bound.{timing.bound}")
+            rec.observe("kernel.gflops", timing.gflops)
         return timing
 
     def gflops_curve(

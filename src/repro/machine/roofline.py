@@ -105,10 +105,9 @@ class Roofline:
         bound = "compute" if compute_roof <= memory_roof else "memory"
         rec = get_recorder()
         if rec is not None:
-            m = rec.metrics
-            m.counter("roofline.evaluations").inc()
-            m.counter(f"roofline.bound.{bound}").inc()
-            m.histogram("roofline.ceiling_gflops").observe(attainable / 1e9)
+            rec.count("roofline.evaluations")
+            rec.count(f"roofline.bound.{bound}")
+            rec.observe("roofline.ceiling_gflops", attainable / 1e9)
         return RooflinePoint(
             flops_per_second=attainable,
             compute_roof=compute_roof,

@@ -461,24 +461,24 @@ class Engine:
 
     def _publish_metrics(self) -> None:
         """Absorb this world's :class:`EngineStats` (and the per-rank
-        ingress-link utilisation) into the recorder's metrics registry.
+        ingress-link utilisation) into the recorder's metrics.
         Counters add across worlds, so a whole sweep aggregates."""
-        m = self._trace.metrics
+        rec = self._trace
         s = self.stats
-        m.counter("mpi.messages").inc(s.messages)
-        m.counter("mpi.bytes_sent").inc(s.bytes_sent)
-        m.counter("mpi.messages.eager").inc(s.eager_messages)
-        m.counter("mpi.messages.rendezvous").inc(s.rendezvous_messages)
-        m.counter("mpi.messages.shm").inc(s.shm_messages)
-        m.counter("mpi.messages.lost").inc(s.messages_lost)
-        m.counter("mpi.retransmits").inc(s.retransmits)
-        m.counter("mpi.timeouts").inc(s.timeouts)
-        m.counter("mpi.failed_ranks").inc(s.failed_ranks)
+        rec.count("mpi.messages", s.messages)
+        rec.count("mpi.bytes_sent", s.bytes_sent)
+        rec.count("mpi.messages.eager", s.eager_messages)
+        rec.count("mpi.messages.rendezvous", s.rendezvous_messages)
+        rec.count("mpi.messages.shm", s.shm_messages)
+        rec.count("mpi.messages.lost", s.messages_lost)
+        rec.count("mpi.retransmits", s.retransmits)
+        rec.count("mpi.timeouts", s.timeouts)
+        rec.count("mpi.failed_ranks", s.failed_ranks)
         busy = [b for b in self._ingress_busy if b > 0.0]
         for b in busy:
-            m.histogram("mpi.ingress_busy_seconds").observe(b)
+            rec.observe("mpi.ingress_busy_seconds", b)
         if busy:
-            m.counter("mpi.ingress_busy_seconds.total").inc(sum(busy))
+            rec.count("mpi.ingress_busy_seconds.total", sum(busy))
 
     def _sched_initial(self, rank: int) -> None:
         """Queue a rank's first resume (hook for alternate event codings)."""

@@ -9,9 +9,9 @@ is a cheap None check and the repo's output stays byte-identical.
   virtual-clock event records the MPI discrete-event simulator emits
   (sends, receives, computes, retransmits, phase marks).  The virtual
   track is a pure function of (seed, config): stable across ``--jobs``.
-* :mod:`repro.obs.metrics` — :class:`MetricsRegistry`: counters, gauges
-  and log2-bucket histograms with associative merge, absorbing the
-  engine/cache/simulator counter bags behind one API.
+  The recorder also keeps the run's metrics — counters, gauges and
+  log2-bucket histograms — as the plain document it exports
+  (``count`` / ``set_gauge`` / ``observe``, associative ``merge``).
 * :mod:`repro.obs.export` — Chrome ``chrome://tracing`` JSON, flat
   JSONL, and the text summary behind ``repro trace summarize``.
 * :mod:`repro.obs.collector` — per-run metric documents: every run
@@ -43,7 +43,6 @@ from .collector import (
     document_digest,
     strip_volatile,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .trace import (
     Span,
     TraceRecorder,
@@ -76,10 +75,6 @@ __all__ = [
     "collect_run",
     "document_digest",
     "strip_volatile",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "Span",
     "TraceRecorder",
     "get_recorder",

@@ -512,6 +512,16 @@ def collect_bench(
 # ---------------------------------------------------------------------------
 # The store
 # ---------------------------------------------------------------------------
+def _well_formed(doc: Any) -> bool:
+    """The shape :func:`_new_document` writes: a known kind whose
+    metrics map names to objects with a numeric ``value``."""
+    metrics = doc.get("metrics") if isinstance(doc, dict) else None
+    return isinstance(metrics, dict) and doc.get("kind") in KINDS and all(
+        isinstance(entry, dict) and type(entry.get("value")) in (int, float)
+        for entry in metrics.values()
+    )
+
+
 class MetricsStore:
     """A directory of metric documents, one JSON file per run.
 
@@ -524,11 +534,13 @@ class MetricsStore:
     deterministic.
 
     A document that no longer parses as JSON (bit-flipped on disk, or
-    torn by a pre-atomic-write tool) is *quarantined* on read — renamed
-    to ``<name>.corrupt``, skipped, and counted — instead of aborting
-    every listing and trend verdict with a traceback.  Schema-version
-    mismatches still raise: that's a deliberate refusal, not damage.
-    Quarantined sequence numbers are never reused.
+    torn by a pre-atomic-write tool), or parses to something other
+    than the shape :func:`_new_document` writes, is *quarantined* on
+    read — renamed to ``<name>.corrupt``, skipped, and counted —
+    instead of aborting every listing and trend verdict with a
+    traceback.  Schema-version mismatches still raise: that's a
+    deliberate refusal, not damage.  Quarantined sequence numbers are
+    never reused.
     """
 
     #: Suffix appended to documents that failed to decode.
@@ -612,11 +624,11 @@ class MetricsStore:
             )
         return path
 
-    def load(self, path: Union[str, Path]) -> Dict[str, Any]:
+    def load(self, path: Union[str, Path]) -> Any:
         import json
 
         doc = json.loads(Path(path).read_text())
-        if doc.get("schema") != SCHEMA_VERSION:
+        if isinstance(doc, dict) and doc.get("schema") != SCHEMA_VERSION:
             raise ValueError(
                 f"{path}: unsupported metric-document schema "
                 f"{doc.get('schema')!r}"
@@ -627,16 +639,20 @@ class MetricsStore:
         self, n: Optional[int] = None, kind: Optional[str] = None,
     ) -> List[Tuple[Path, Dict[str, Any]]]:
         """The last ``n`` decodable documents (all when None), oldest
-        first.  Undecodable files are quarantined and skipped, so one
-        corrupt document cannot take down every listing and trend
-        verdict built on the store."""
+        first.  Undecodable or misshapen files are quarantined and
+        skipped, so one corrupt document cannot take down every listing
+        and trend verdict built on the store."""
         import json
 
         out: List[Tuple[Path, Dict[str, Any]]] = []
         for p in self.paths(kind):
             try:
-                out.append((p, self.load(p)))
+                doc = self.load(p)
             except json.JSONDecodeError:
+                doc = None
+            if _well_formed(doc):
+                out.append((p, doc))
+            else:
                 self._quarantine(p)
         if n is not None:
             out = out[-n:]

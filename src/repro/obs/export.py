@@ -166,8 +166,30 @@ def write_trace(trace: Union[TraceRecorder, Doc], path: Union[str, Path]) -> Pat
     return atomic_write_text(path, text)
 
 
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _objects(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(v, dict) for v in value)
+
+
+def _checked(doc: Doc) -> Doc:
+    """``doc`` if it has the canonical shape the summary walks."""
+    metrics = doc.get("metrics") or {}
+    _require(_objects(doc.get("spans") or []), "spans are not objects")
+    _require(_objects(doc.get("events") or []), "events are not objects")
+    _require(isinstance(metrics, dict) and _objects(
+        [metrics.get(k) or {} for k in ("counters", "gauges", "histograms")]
+        + list((metrics.get("histograms") or {}).values())
+    ), "metrics are not objects")
+    return doc
+
+
 def load_trace(path: Union[str, Path]) -> Doc:
-    """Read a trace file back into the canonical document."""
+    """Read a trace file back into the canonical document
+    (``ValueError`` when the file is not a trace)."""
     path = Path(path)
     text = path.read_text()
     if path.suffix == ".jsonl":
@@ -178,6 +200,7 @@ def load_trace(path: Union[str, Path]) -> Doc:
             if not line.strip():
                 continue
             rec = json.loads(line)
+            _require(isinstance(rec, dict), "a JSONL record is not an object")
             kind = rec.pop("type")
             if kind == "span":
                 doc["spans"].append(rec)
@@ -190,12 +213,15 @@ def load_trace(path: Union[str, Path]) -> Doc:
                     doc["metrics"]["histograms"][name] = rec
                 else:
                     doc["metrics"][mkind + "s"][name] = rec["value"]
-        return doc
+        return _checked(doc)
     loaded = json.loads(text)
+    _require(isinstance(loaded, dict), "the trace is not an object")
     if "traceEvents" not in loaded:
-        return loaded  # already canonical
-    doc = {"spans": [], "events": [], "metrics":
-           (loaded.get("otherData") or {}).get("metrics") or {}}
+        return _checked(loaded)  # already canonical
+    other = loaded.get("otherData") or {}
+    _require(isinstance(other, dict), "otherData is not an object")
+    _require(_objects(loaded["traceEvents"]), "traceEvents are not objects")
+    doc = {"spans": [], "events": [], "metrics": other.get("metrics") or {}}
     for e in loaded["traceEvents"]:
         if e.get("ph") == "M":
             continue
@@ -215,7 +241,7 @@ def load_trace(path: Union[str, Path]) -> Doc:
                 "tid": e.get("tid", 0),
                 "attrs": e.get("args") or {},
             })
-    return doc
+    return _checked(doc)
 
 
 # ---------------------------------------------------------------------------

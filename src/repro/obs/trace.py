@@ -25,13 +25,12 @@ documents in deterministic task order.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
-
-from .metrics import MetricsRegistry
 
 __all__ = [
     "Span",
@@ -74,7 +73,16 @@ class _SpanStack(threading.local):
 
 
 class TraceRecorder:
-    """Thread-safe collector of spans, virtual events and metrics."""
+    """Thread-safe collector of spans, virtual events and metrics.
+
+    ``metrics`` is the ``{"counters", "gauges", "histograms"}`` document
+    :meth:`as_dict` ships.  :meth:`count` adds to a monotone float
+    counter, :meth:`set_gauge` overwrites a float, :meth:`observe` adds
+    to a histogram (count/sum/min/max; bucket ``"0"`` holds values below
+    1, bucket ``"k"`` values in ``[2**(k-1), 2**k)``).  Merging adds
+    counters and histograms and takes incoming gauges.  A name has one
+    kind; negative increments and observations are errors.
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -82,7 +90,9 @@ class TraceRecorder:
         self.epoch = time.time() - time.perf_counter()
         self.spans: List[Span] = []
         self.events: List[Dict[str, Any]] = []
-        self.metrics = MetricsRegistry()
+        self.metrics: Dict[str, Dict[str, Any]] = {
+            "counters": {}, "gauges": {}, "histograms": {},
+        }
         self._next_id = 0
         self._tids: Dict[int, int] = {}  # thread ident -> small stable tid
         self._stack = _SpanStack()
@@ -145,11 +155,65 @@ class TraceRecorder:
                 {"name": name, "rank": rank, "t": t, "attrs": attrs}
             )
 
+    # -- metrics -----------------------------------------------------------
+    def _table(self, kind: str, name: str, initial: Any) -> Dict[str, Any]:
+        """The ``kind`` table holding ``name``, added as ``initial`` on
+        first use unless another kind owns the name.  Call under the
+        lock."""
+        table = self.metrics[kind]
+        if name not in table:
+            for other, owner in self.metrics.items():
+                if name in owner:
+                    raise ValueError(
+                        f"metric {name!r} already registered as a "
+                        f"{other[:-1]}"
+                    )
+            table[name] = initial
+        return table
+
+    def count(self, name: str, amount: float = 1) -> None:
+        if amount < 0:
+            raise ValueError(
+                f"counter {name!r} cannot be decremented (got {amount})"
+            )
+        with self._lock:
+            self._table("counters", name, 0.0)[name] += amount
+
+    def set_gauge(self, name: str, value: float) -> None:
+        with self._lock:
+            self._table("gauges", name, 0.0)[name] = float(value)
+
+    def observe(self, name: str, value: float) -> None:
+        if value < 0:
+            raise ValueError(
+                f"histogram {name!r} takes non-negative values, got {value}"
+            )
+        bucket = 0 if value < 1.0 else int(math.floor(math.log2(value))) + 1
+        self._fold(name, {"count": 1, "sum": value, "min": value,
+                          "max": value, "buckets": {bucket: 1}})
+
+    def _fold(self, name: str, other: Dict[str, Any]) -> None:
+        """Add histogram document ``other`` into histogram ``name``."""
+        empty = {"count": 0, "sum": 0.0, "min": None, "max": None,
+                 "buckets": {}}
+        with self._lock:
+            h = self._table("histograms", name, empty)[name]
+            h["count"] += int(other.get("count", 0))
+            h["sum"] += float(other.get("sum", 0.0))
+            for bound, pick in (("min", min), ("max", max)):
+                if other.get(bound) is not None:
+                    h[bound] = other[bound] if h[bound] is None else (
+                        pick(h[bound], other[bound]))
+            for k, n in (other.get("buckets") or {}).items():
+                k = str(int(k))
+                h["buckets"][k] = h["buckets"].get(k, 0) + int(n)
+
     # -- merge / export ----------------------------------------------------
     def as_dict(self) -> Dict[str, Any]:
         """Plain-data snapshot (picklable/JSON-able) for shipping across
         process boundaries; span times are converted to absolute epoch
         seconds so recorders with different anchors merge cleanly."""
+        m = self.metrics
         with self._lock:
             return {
                 "spans": [
@@ -166,7 +230,17 @@ class TraceRecorder:
                     for s in self.spans
                 ],
                 "events": [dict(e) for e in self.events],
-                "metrics": self.metrics.as_dict(),
+                "metrics": {
+                    "counters": dict(sorted(m["counters"].items())),
+                    "gauges": dict(sorted(m["gauges"].items())),
+                    "histograms": {
+                        name: {**h, "buckets": {
+                            k: h["buckets"][k]
+                            for k in sorted(h["buckets"], key=int)
+                        }}
+                        for name, h in sorted(m["histograms"].items())
+                    },
+                },
             }
 
     def merge(self, doc: Optional[Dict[str, Any]]) -> None:
@@ -202,7 +276,13 @@ class TraceRecorder:
             self._next_id = base + len(spans)
             for e in doc.get("events") or []:
                 self.events.append(dict(e))
-        self.metrics.merge(doc.get("metrics") or {})
+        metrics = doc.get("metrics") or {}
+        for name, value in (metrics.get("counters") or {}).items():
+            self.count(name, float(value))
+        for name, value in (metrics.get("gauges") or {}).items():
+            self.set_gauge(name, value)
+        for name, hist in (metrics.get("histograms") or {}).items():
+            self._fold(name, hist)
 
 
 # ---------------------------------------------------------------------------

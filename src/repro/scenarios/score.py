@@ -157,7 +157,7 @@ def run_scenario(spec: ScenarioSpec) -> Dict[str, Any]:
 
     counters = {
         name: value
-        for name, value in sorted(recorder.metrics.counters())
+        for name, value in sorted(recorder.metrics["counters"].items())
         if name.startswith(("mpi.", "guard."))
     }
     doc: Dict[str, Any] = {

@@ -235,6 +235,20 @@ class TestDaemonIdArbitration:
         assert job.daemon_id is None  # absent, not a crash
 
 
+#: A store file that decodes to something other than a metric document
+#: is damage, quarantined like one that does not decode at all.
+MISSHAPEN_DOCUMENTS = {
+    "undecodable": "{rot",
+    "not-an-object": "[1,2]",
+    "metric-not-an-object":
+        f'{{"schema":{SCHEMA_VERSION},"kind":"run","metrics":{{"x":5}}}}',
+    "value-not-a-number": f'{{"schema":{SCHEMA_VERSION},"kind":"run",'
+                          '"metrics":{"x":{"value":"5"}}}',
+    "unknown-kind":
+        f'{{"schema":{SCHEMA_VERSION},"kind":"nope","metrics":{{}}}}',
+}
+
+
 class TestVerifySurfaces:
     def test_journal_verify_counts_orphan_tmp_neighbours(self, tmp_path):
         from repro.exec.journal import JournalWriter, verify_journal
@@ -256,11 +270,33 @@ class TestVerifySurfaces:
 
         from repro.cli import main
 
+        for name, content in MISSHAPEN_DOCUMENTS.items():
+            store = MetricsStore(tmp_path / name)
+            store.write(_doc("good"))
+            (store.directory / "metrics-000002-run.json").write_text(content)
+            rc = main(["bench", "list", "--store", str(store.directory),
+                       "--json"])
+            assert rc == 0, name
+            listing = json.loads(capsys.readouterr().out)
+            assert listing["corrupt_documents"] == 1, name
+            assert len(listing["documents"]) == 1, name
+
+    @pytest.mark.parametrize(
+        "content", MISSHAPEN_DOCUMENTS.values(), ids=MISSHAPEN_DOCUMENTS
+    )
+    def test_bench_trend_skips_quarantined_documents(
+        self, tmp_path, capsys, content
+    ):
+        import json
+
+        from repro.cli import main
+
         store = MetricsStore(tmp_path)
         store.write(_doc("good"))
-        (tmp_path / "metrics-000002-run.json").write_text("{rot")
-        rc = main(["bench", "list", "--store", str(tmp_path), "--json"])
+        (tmp_path / "metrics-000002-run.json").write_text(content)
+        rc = main(["bench", "trend", "--store", str(tmp_path), "--json"])
         assert rc == 0
-        listing = json.loads(capsys.readouterr().out)
-        assert listing["corrupt_documents"] == 1
-        assert len(listing["documents"]) == 1
+        verdict = json.loads(capsys.readouterr().out)
+        assert [d["file"] for d in verdict["documents"]] == [
+            "metrics-000001-run.json"]
+        assert len(store.corrupt_documents()) == 1

@@ -486,7 +486,21 @@ MALFORMED = [
     pytest.param(["run", "fig1", "--guard-cadence", "0"],
                  "argument --guard-cadence: must be >= 1, got 0", None,
                  id="run-guard-cadence-0"),
+    *(
+        pytest.param(["trace", "summarize", f"{{tmp}}/{name}"],
+                     "not a trace file", None, id=f"trace-{name}")
+        for name in ("array.json", "number.json", "spans.json",
+                     "array.jsonl")
+    ),
 ]
+
+#: Malformed trace files the ``trace summarize`` rows read from ``{tmp}``.
+BAD_TRACES = {
+    "array.json": "[1]",
+    "number.json": "5",
+    "spans.json": '{"spans": 5}',
+    "array.jsonl": "[1]\n",
+}
 
 
 @pytest.mark.parametrize("argv, message, output", MALFORMED)
@@ -495,6 +509,8 @@ def test_malformed_invocation_is_a_usage_error(
 ):
     """Exit 2 with the flag's own one-line complaint: no traceback, no
     'bad fault spec' for a flag that is not one, nothing written."""
+    for name, text in BAD_TRACES.items():
+        (tmp_path / name).write_text(text)
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "bad fault spec" not in err

@@ -183,6 +183,28 @@ def _wait_for_done_records(journal, n, timeout=120.0):
     )
 
 
+def _children(pid):
+    """Pids whose parent is ``pid`` (read from ``/proc``)."""
+    kids = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # exited while we looked
+        if int(fields[1]) == pid:
+            kids.append(int(stat.parent.name))
+    return kids
+
+
+def _running(pid):
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 def _normalize_timing(doc):
     """Zero every wall-clock field: the only legitimate difference
     between a resumed and an uninterrupted ``--json`` document."""
@@ -222,9 +244,15 @@ class TestCrashRecovery:
         )
         try:
             _wait_for_done_records(journal, 3)
+            workers = _children(proc.pid)
         finally:
             proc.send_signal(signal.SIGKILL)
             proc.wait()
+        # No pool worker outlives the killed run.
+        deadline = time.monotonic() + 15.0
+        while time.monotonic() < deadline and any(map(_running, workers)):
+            time.sleep(0.05)
+        assert not [w for w in workers if _running(w)]
         # The torn journal must verify (a torn tail is not corruption)…
         check = _cli("journal", "verify", str(journal))
         assert check.returncode == 0, check.stdout + check.stderr

@@ -27,7 +27,7 @@ from repro.mpi.collectives import (
 from repro.mpi.network import TofuDNetwork
 from repro.mpi.simulator import Engine
 from repro.mpi.topology import TofuDTopology
-from repro.obs import MetricsRegistry, TraceRecorder, recording
+from repro.obs import TraceRecorder, recording
 
 # ---------------------------------------------------------------------------
 # Span nesting
@@ -163,18 +163,19 @@ increments = st.lists(
 @given(parts=st.lists(increments, min_size=1, max_size=4))
 @settings(max_examples=60, deadline=None)
 def test_counters_nonnegative_and_additive_across_merges(parts):
-    merged = MetricsRegistry()
+    merged = TraceRecorder()
     total = 0.0
     for part in parts:
-        m = MetricsRegistry()
+        m = TraceRecorder()
         for amount in part:
-            m.counter("n").inc(amount)
+            m.count("n", amount)
             total += amount
-        assert m.counter("n").value >= 0.0
-        merged.merge(m)
-    assert merged.counter("n").value >= 0.0
+        assert m.metrics["counters"].get("n", 0.0) >= 0.0
+        merged.merge(m.as_dict())
+    assert merged.metrics["counters"].get("n", 0.0) >= 0.0
     assert math.isclose(
-        merged.counter("n").value, total, rel_tol=1e-9, abs_tol=1e-9
+        merged.metrics["counters"].get("n", 0.0), total,
+        rel_tol=1e-9, abs_tol=1e-9,
     )
 
 
@@ -188,16 +189,17 @@ def test_counters_nonnegative_and_additive_across_merges(parts):
 @settings(max_examples=60, deadline=None)
 def test_histogram_merge_is_grouping_invariant(values, split):
     split = min(split, len(values))
-    whole = MetricsRegistry()
+    whole = TraceRecorder()
     for v in values:
-        whole.histogram("h").observe(v)
-    a, b = MetricsRegistry(), MetricsRegistry()
+        whole.observe("h", v)
+    a, b = TraceRecorder(), TraceRecorder()
     for v in values[:split]:
-        a.histogram("h").observe(v)
+        a.observe("h", v)
     for v in values[split:]:
-        b.histogram("h").observe(v)
-    a.merge(b)
-    got, want = a.as_dict()["histograms"]["h"], whole.as_dict()["histograms"]["h"]
+        b.observe("h", v)
+    a.merge(b.as_dict())
+    got = a.as_dict()["metrics"]["histograms"]["h"]
+    want = whole.as_dict()["metrics"]["histograms"]["h"]
     assert got["count"] == want["count"]
     assert got["buckets"] == want["buckets"]
     assert got["min"] == want["min"] and got["max"] == want["max"]

@@ -145,10 +145,10 @@ class TestMerge:
 
     def test_merge_folds_metrics(self):
         parent, worker = TraceRecorder(), TraceRecorder()
-        parent.metrics.counter("n").inc(2)
-        worker.metrics.counter("n").inc(3)
+        parent.count("n", 2)
+        worker.count("n", 3)
         parent.merge(worker.as_dict())
-        assert parent.metrics.counter("n").value == 5
+        assert parent.metrics["counters"]["n"] == 5
 
     def test_merged_spans_share_parent_timeline(self):
         parent, worker = TraceRecorder(), TraceRecorder()
@@ -171,7 +171,7 @@ class TestChromeExport:
             pass
         rec.event("send", 0, 1e-6, dest=1, nbytes=8)
         rec.event("compute", 1, 2e-6, seconds=1e-6)
-        rec.metrics.counter("mpi.messages").inc()
+        rec.count("mpi.messages")
         return rec
 
     def test_every_event_has_required_keys(self):
@@ -220,9 +220,9 @@ class TestFileRoundTrip:
         with rec.span("s"):
             pass
         rec.event("mark", 2, 0.5, label="phase")
-        rec.metrics.counter("c").inc(4)
-        rec.metrics.gauge("g").set(1.5)
-        rec.metrics.histogram("h").observe(3.0)
+        rec.count("c", 4)
+        rec.set_gauge("g", 1.5)
+        rec.observe("h", 3.0)
         return rec
 
     def test_chrome_round_trip(self, tmp_path):
@@ -284,8 +284,8 @@ class TestSummarize:
         with rec.span("t", category="task"):
             pass
         rec.event("send", 0, 1e-5)
-        rec.metrics.counter("mpi.messages").inc(7)
-        rec.metrics.histogram("h").observe(2.0)
+        rec.count("mpi.messages", 7)
+        rec.observe("h", 2.0)
         text = render_trace_summary(summarize_trace(rec))
         assert "1 span(s)" in text
         assert "send" in text

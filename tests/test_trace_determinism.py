@@ -57,7 +57,7 @@ class TestVirtualTrackDeterminism:
         def counters(jobs):
             rec = TraceRecorder()
             Engine(jobs=jobs, recorder=rec).run_many(["fig2"])
-            return rec.metrics.as_dict()["counters"]
+            return rec.as_dict()["metrics"]["counters"]
 
         assert counters(1) == counters(4)
 
