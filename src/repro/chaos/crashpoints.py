@@ -34,8 +34,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..core.atomicio import PowerCut, atomic_write_text, canonical_json
-from ..core.frozen import load_frozen
+from ..core.atomicio import PowerCut
+from ..core.frozen import load_frozen, write_frozen
 from .faultio import CountingIO, CrashpointIO, mode_for
 from .workloads import WORKLOADS, make_workload
 
@@ -241,9 +241,7 @@ def freeze_crashpoint(
         "label": point["label"],
         "mode": mode_for(seed, workload, k, point["op"]),
     }
-    atomic_write_text(
-        Path(path), canonical_json(doc) + "\n", durable=False
-    )
+    write_frozen(path, doc)
     return doc
 
 

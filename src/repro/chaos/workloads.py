@@ -176,7 +176,7 @@ class StoresWorkload(Workload):
                 w.append({
                     "type": "task_done", "key": key, "experiment": "chaos",
                     "index": i, "label": f"chaos[{i}]", "seconds": 0.0,
-                    "worker": 0, "digest": digest, "payload": payload,
+                    "worker": "inline", "digest": digest, "payload": payload,
                 })
             if st is None or not st.complete:
                 w.run_end("complete")
@@ -337,12 +337,12 @@ class RunWorkload(_ResumingWorkload):
         from ..obs.collector import MetricsStore, collect_run, document_digest
 
         journal_path = root / self.JOURNAL
-        resume_state = try_load_journal(journal_path) if resume else None
-        cache = ResultCache(root / "cache")
-        engine = Engine(jobs=1, cache=cache, resume_state=resume_state)
-        with JournalWriter(journal_path) as w:
-            engine.journal = w
-            outcomes = engine.run_many(self.KEYS, scale=self.SCALE)
+        engine = Engine(
+            jobs=1, cache=ResultCache(root / "cache"),
+            journal=JournalWriter(journal_path),
+            resume_state=try_load_journal(journal_path) if resume else None,
+        )
+        outcomes = engine.run_many(self.KEYS, scale=self.SCALE)
         doc = collect_run(
             engine.stats, outcomes, keys=self.KEYS, scale=self.SCALE,
             sha=None,
@@ -383,15 +383,11 @@ class CampaignWorkload(_ResumingWorkload):
         name, specs = resolve_selector(self.SELECTOR)
         plan = plan_campaign(name, specs, budget=self.BUDGET)
         journal_path = root / self.JOURNAL
-        resume_path = (
-            str(journal_path)
-            if resume and try_load_journal(journal_path) else None
-        )
         doc = run_campaign(
             plan,
             jobs=1,
-            journal_path=None if resume_path else str(journal_path),
-            resume_path=resume_path,
+            journal=JournalWriter(journal_path),
+            resume_state=try_load_journal(journal_path) if resume else None,
         )
         mdoc = collect_campaign(doc, sha=None)
         MetricsStore(root / "metrics").write(mdoc)

@@ -389,6 +389,21 @@ def _resume_mismatch(meta: dict, keys: List[str], scale: str,
     return None
 
 
+def _open_journal(args):
+    """``--journal``/``--resume`` as the ``(writer, resume state)`` pair
+    both runners take.  A resumed run appends to the journal it resumes
+    from, so a second crash resumes from the union of both segments."""
+    state, path = None, args.journal_path
+    if args.resume_path is not None:
+        try:
+            state = load_journal(args.resume_path)
+        except JournalError as exc:
+            raise JournalError(
+                f"cannot resume from {args.resume_path!r}: {exc}") from None
+        path = args.resume_path
+    return (None if path is None else JournalWriter(path)), state
+
+
 def _run(args, shutdown, recorder):
     key = args.key
     keys = list(REGISTRY) if key == "all" else [key]
@@ -397,17 +412,10 @@ def _run(args, shutdown, recorder):
     if args.guard_out is not None and args.guard_mode == "off":
         return None, _error("--guard-out needs an active guard; add "
                             "--guard observe|strict|repair")
-    resume_state = None
-    journal_path = args.journal_path
-    if args.resume_path is not None:
-        try:
-            resume_state = load_journal(args.resume_path)
-        except JournalError as exc:
-            return None, _error(
-                f"cannot resume from {args.resume_path!r}: {exc}")
-        # A resumed run keeps appending to the same write-ahead log, so
-        # a second crash resumes from the union of both segments.
-        journal_path = args.resume_path
+    try:
+        journal, resume_state = _open_journal(args)
+    except JournalError as exc:
+        return None, _error(str(exc))
 
     use_cache = args.cache or args.cache_dir != DEFAULT_CACHE_DIR
     try:
@@ -419,6 +427,7 @@ def _run(args, shutdown, recorder):
             fault_spec=args.faults,
             fault_seed=args.seed,
             recorder=recorder,
+            journal=journal,
             resume_state=resume_state,
             cancel_event=shutdown.event,
             grace=args.grace,
@@ -438,12 +447,6 @@ def _run(args, shutdown, recorder):
         if mismatch:
             return None, _error(f"journal {args.resume_path!r} does not "
                                 f"match this run: {mismatch}")
-    if journal_path is not None:
-        try:
-            engine.journal = JournalWriter(journal_path)
-        except OSError as exc:
-            return None, _error(
-                f"cannot write journal at {journal_path!r}: {exc}")
 
     profiler = None
     if args.profile_top is not None:
@@ -462,8 +465,6 @@ def _run(args, shutdown, recorder):
     finally:
         if profiler is not None:
             profiler.disable()
-        if engine.journal is not None:
-            engine.journal.close()
     stats = engine.stats
 
     if recorder is not None:
@@ -491,8 +492,8 @@ def _run(args, shutdown, recorder):
             note += f", {r['stale']} stale (source changed)"
         print(note, file=sys.stderr)
     if stats.interrupted:
-        if journal_path is not None:
-            hint = f"; resume with: repro run {key} --resume {journal_path}"
+        if journal is not None:
+            hint = f"; resume with: repro run {key} --resume {journal.path}"
         else:
             hint = " (no --journal: completed work was not saved)"
         print(
@@ -618,11 +619,12 @@ def _campaign_run(args, shutdown, recorder):
 
     try:
         name, specs = resolve_selector(args.selector)
+        journal, resume_state = _open_journal(args)
         doc = run_campaign(
             plan_campaign(name, specs, budget=args.budget),
             jobs=args.jobs,
-            journal_path=args.journal_path,
-            resume_path=args.resume_path,
+            journal=journal,
+            resume_state=resume_state,
             cancel=shutdown.event,
             grace=args.grace,
             task_timeout=args.task_timeout,
@@ -632,11 +634,10 @@ def _campaign_run(args, shutdown, recorder):
     except (ScenarioError, CampaignError, JournalError) as exc:
         return None, _error(str(exc))
     if doc["interrupted"]:
-        journal = args.journal_path or args.resume_path
-        if journal:
+        if journal is not None:
             print(
                 f"campaign interrupted; resume with: repro campaign run "
-                f"{args.selector} --resume {journal}",
+                f"{args.selector} --resume {journal.path}",
                 file=sys.stderr,
             )
         return doc, RESUMABLE_EXIT_CODE

@@ -1,5 +1,6 @@
-"""Frozen regression files: the read half shared by every replay.
+"""Frozen regression files: one writer and one reader for every replay.
 
+:func:`write_frozen` writes frozen scenarios and crashpoints alike.
 ``repro campaign replay`` (frozen scenarios) and ``repro chaos replay``
 (frozen crashpoints) both expand their targets with
 :func:`frozen_paths` and read each file with :func:`load_frozen`, so a
@@ -13,11 +14,23 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Union
 
-__all__ = ["FrozenFileError", "frozen_paths", "load_frozen"]
+from .atomicio import atomic_write_text
+
+__all__ = ["FrozenFileError", "frozen_paths", "load_frozen", "write_frozen"]
 
 
 class FrozenFileError(ValueError):
     """A replay target or frozen file that cannot be replayed."""
+
+
+def write_frozen(path: Union[str, Path], doc: Dict[str, Any]) -> Path:
+    """Write one frozen file: parent directories first, then one atomic
+    write of ``doc`` as sorted, 2-space-indented JSON and a newline."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return atomic_write_text(
+        path, json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    )
 
 
 def frozen_paths(

@@ -15,10 +15,10 @@ no per-experiment barrier.
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..core.benchmark import WallTimer
 from ..core.experiments import (
@@ -32,9 +32,9 @@ from ..guard.monitor import parse_guard_mode
 from ..mpi.faults import parse_fault_spec
 from ..obs import TraceRecorder
 from .cache import CacheStats, ResultCache, source_fingerprint
-from .journal import JournalState, JournalWriter, task_key
+from .journal import JournalState, JournalWriter, journalled
 from .scheduler import Scheduler, TaskResult
-from .tasks import GUARD_INJECTIONS, Task, decompose, merge_results
+from .tasks import GUARD_INJECTIONS, decompose, merge_results
 
 __all__ = [
     "Engine",
@@ -290,14 +290,13 @@ class Engine:
         simulator's virtual-clock event track, and metrics; ``None``
         (default) keeps tracing off and the run byte-identical to the
         untraced path.
-    journal:
-        A :class:`~repro.exec.journal.JournalWriter`: every dispatch
-        and completion is appended (fsync'd) before the run proceeds,
-        so a crash at any point leaves a resumable record.
-    resume_state:
-        A loaded :class:`~repro.exec.journal.JournalState`: completed
-        sweep points whose source fingerprint still matches are
-        restored without re-execution (stale ones re-run), and the
+    journal / resume_state:
+        A :class:`~repro.exec.journal.JournalWriter` and a loaded
+        :class:`~repro.exec.journal.JournalState`, handed to
+        :func:`~repro.exec.journal.journalled`: every dispatch and
+        completion is appended (fsync'd) before the run proceeds, and
+        completed sweep points whose source fingerprint still matches
+        are restored without re-execution (stale ones re-run), so the
         merged figures are byte-identical to an uninterrupted run.
     cancel_event / grace / heartbeat_timeout:
         Graceful-shutdown plumbing, threaded to the scheduler — see
@@ -421,74 +420,50 @@ class Engine:
                         ),
                     ))
 
-            # -- resume: restore journalled sweep points ------------------
-            restored: Dict[Tuple[str, int], TaskResult] = {}
-            n_stale = 0
-            fingerprint = source_fingerprint()
-            if self.resume_state is not None:
-                restored, n_stale = self._restore(pending, fingerprint)
-
-            to_run: List[Task] = [
-                t for key, ts in pending for t in ts
-                if (key, t.index) not in restored
-            ]
-
-            # -- write-ahead: the journal knows the plan before any work --
-            if self.journal is not None:
-                self.journal.run_start(
-                    list(keys), scale, self.scheduler.jobs, fingerprint,
-                    fault_spec=self.fault_spec, fault_seed=self.fault_seed,
-                    resumed=self.resume_state is not None,
-                    guard=self.guard_meta(),
-                )
-                for t in to_run:
-                    self.journal.task_dispatch(t)
-
-            # Journal each result the moment the scheduler knows it
-            # (streaming, fsync'd) — a SIGKILL mid-run then loses only
-            # the in-flight tasks, never the finished ones.
-            if self.journal is not None:
-                self.scheduler.on_result = self._journal_result
-            try:
+            # One scheduler submission for every pending sweep point; the
+            # journalled runner restores, journals and streams results.
+            header = {
+                "keys": list(keys), "scale": scale,
+                "jobs": self.scheduler.jobs, "fault_spec": self.fault_spec,
+                "fault_seed": self.fault_seed, "guard": self.guard_meta(),
+            }
+            with journalled(
+                self.scheduler, [t for _, ts in pending for t in ts],
+                source_fingerprint(), journal=self.journal,
+                resume=self.resume_state, header=header,
+            ) as run:
+                if self.resume_state is not None:
+                    with self._span(
+                        "journal:restore", category="journal",
+                        restored=len(run.restored), stale=run.stale,
+                    ):
+                        pass
+                    self.stats.resume = {
+                        "restored": len(run.restored),
+                        "executed": len(run.pending),
+                        "stale": run.stale,
+                    }
                 with self._span(
                     "schedule", category="engine",
-                    ntasks=len(to_run), jobs=self.scheduler.jobs,
+                    ntasks=len(run.pending), jobs=self.scheduler.jobs,
                 ) as sched_attrs:
-                    results_run = self.scheduler.map(to_run)
+                    results = iter(run.map())
                     if self.scheduler.fallback_reason is not None:
                         sched_attrs["fallback"] = (
                             self.scheduler.fallback_reason
                         )
-            finally:
-                self.scheduler.on_result = None
-            self.stats.fallback_reason = self.scheduler.fallback_reason
-
-            it = iter(results_run)
-            for key, tasks in pending:
-                chunk = [
-                    restored[(key, t.index)]
-                    if (key, t.index) in restored else next(it)
-                    for t in tasks
-                ]
-                if any(r.interrupted for r in chunk):
-                    self._finish_interrupted(key, scale, chunk)
-                else:
-                    outcomes[key] = self._finish(
-                        key, scale, chunk, extra_params
-                    )
-
-            if self.resume_state is not None:
-                self.stats.resume = {
-                    "restored": len(restored),
-                    "executed": len(to_run),
-                    "stale": n_stale,
-                }
-            self.stats.interrupted = (
-                self.stats.interrupted or self.scheduler.interrupted
-            )
-            if self.journal is not None:
-                self.journal.run_end(
-                    "interrupted" if self.stats.interrupted else "complete"
+                self.stats.fallback_reason = self.scheduler.fallback_reason
+                # Cache writes in _finish precede the journal's run_end.
+                for key, tasks in pending:
+                    chunk = list(islice(results, len(tasks)))
+                    if any(r.interrupted for r in chunk):
+                        self._finish_interrupted(key, scale, chunk)
+                    else:
+                        outcomes[key] = self._finish(
+                            key, scale, chunk, extra_params
+                        )
+                self.stats.interrupted = (
+                    self.stats.interrupted or self.scheduler.interrupted
                 )
         self.stats.total_seconds += wall.seconds
         return outcomes
@@ -507,56 +482,11 @@ class Engine:
             meta["inject"] = self.guard_inject
         return meta
 
-    def _journal_result(self, r: TaskResult) -> None:
-        """Scheduler ``on_result`` hook: append one fsync'd completion
-        record per task, in completion order."""
-        if r.interrupted:
-            self.journal.task_interrupted(r.task, r.error or "interrupted")
-        elif r.failed:
-            self.journal.task_failed(r.task, r)
-        else:
-            self.journal.task_done(r.task, r)
-
     def _span(self, name: str, category: str = "engine", **attrs: Any):
         """Span on this engine's recorder, or a no-op context."""
         if self.recorder is None:
             return nullcontext(attrs)
         return self.recorder.span(name, category=category, **attrs)
-
-    def _restore(
-        self, pending: Sequence[tuple], fingerprint: str
-    ) -> Tuple[Dict[Tuple[str, int], TaskResult], int]:
-        """Rebuild :class:`TaskResult`\\ s for every journalled sweep
-        point that is still valid: same task key *and* same source
-        fingerprint.  A stale or undecodable record forces
-        re-execution — the journal can degrade work, never results."""
-        restored: Dict[Tuple[str, int], TaskResult] = {}
-        n_stale = 0
-        for key, tasks in pending:
-            for t in tasks:
-                rec = self.resume_state.record_for(t)
-                if rec is None:
-                    continue
-                if rec.get("fingerprint") != fingerprint:
-                    n_stale += 1
-                    continue
-                try:
-                    value = self.resume_state.restore_payload(task_key(t))
-                except Exception:
-                    n_stale += 1  # torn/corrupt payload: recompute
-                    continue
-                restored[(key, t.index)] = TaskResult(
-                    t, value, rec.get("seconds", 0.0),
-                    worker=rec.get("worker", "journal"),
-                    trace=rec.get("trace"),
-                    guard=rec.get("guard"),
-                )
-        with self._span(
-            "journal:restore", category="journal",
-            restored=len(restored), stale=n_stale,
-        ):
-            pass
-        return restored, n_stale
 
     def _finish_interrupted(
         self, key: str, scale: str, results: Sequence[TaskResult]
@@ -565,6 +495,18 @@ class Engine:
         outcome, nothing cached — just honest statistics, so the
         journal + stats agree on what remains to resume."""
         self.stats.interrupted = True
+        with self._span(
+            f"experiment:{key}", category="experiment",
+            key=key, scale=scale, interrupted=True,
+        ):
+            pass
+        self._account(key, scale, results, passed=False)
+
+    def _account(
+        self, key: str, scale: str, results: Sequence[TaskResult],
+        passed: bool,
+    ) -> None:
+        """Per-task metrics and the experiment's stats entry."""
         metrics = [
             TaskMetric(
                 experiment=key, label=r.task.label, seconds=r.seconds,
@@ -573,17 +515,12 @@ class Engine:
             )
             for r in results
         ]
-        with self._span(
-            f"experiment:{key}", category="experiment",
-            key=key, scale=scale, interrupted=True,
-        ):
-            pass
         self.stats.experiments.append(
             ExperimentStats(
                 key=key,
                 scale=scale,
                 cached=False,
-                passed=False,
+                passed=passed,
                 seconds=sum(m.seconds for m in metrics),
                 tasks=metrics,
                 failed_tasks=sum(1 for r in results if r.failed),
@@ -655,29 +592,7 @@ class Engine:
                     )
             exp_attrs["passed"] = outcome.passed
             exp_attrs["failed_tasks"] = len(failures)
-        metrics = [
-            TaskMetric(
-                experiment=key,
-                label=r.task.label,
-                seconds=r.seconds,
-                worker=r.worker,
-                error=r.error,
-                attempts=r.attempts,
-                guard=r.guard,
-            )
-            for r in results
-        ]
-        self.stats.experiments.append(
-            ExperimentStats(
-                key=key,
-                scale=scale,
-                cached=False,
-                passed=outcome.passed,
-                seconds=sum(m.seconds for m in metrics),
-                tasks=metrics,
-                failed_tasks=len(failures),
-            )
-        )
+        self._account(key, scale, results, outcome.passed)
         return outcome
 
 

@@ -1,21 +1,23 @@
-"""Crash-safe run journal: the schema of ``repro run --journal FILE``.
+"""Crash-safe run journal: its schema and the one journalled runner.
 
 The journal is a :class:`~repro.core.atomicio.RecordLog`: one
 checksummed, fsync'd record per event, with that type's framing and
-recovery rules.  ``repro run --resume FILE`` replays it: completed
-sweep points whose source fingerprint still matches are restored
-without re-execution, and the merged figures are byte-identical to an
-uninterrupted run at any ``--jobs``.
+recovery rules.  :func:`journalled` alone writes and restores a run's
+records, for ``repro run``, ``repro campaign run``, serve jobs and the
+chaos workloads: completed tasks whose segment fingerprint still
+matches are restored without re-execution, and the merged result is
+byte-identical to an uninterrupted run at any ``--jobs``.
 
-Record types: ``run_start`` (experiment set, scale, jobs, fault spec,
-source fingerprint, ``resumed`` flag), ``task_dispatch``,
-``task_done`` (task key digest, payload digest + pickled payload,
-timing, optional trace document), ``task_failed``,
-``task_interrupted`` (graceful shutdown or watchdog), and ``run_end``
-(``complete`` / ``interrupted`` / ``failed``).  A resumed run appends a
-new ``run_start`` segment to the *same* file, so a second crash resumes
-from the union of both segments.  A record that lacks a field its type
-needs, or carries a field of the wrong type, is corrupt.
+Record types: ``run_start`` (the caller's header -- experiment set,
+scale, jobs, fault spec -- plus fingerprint and ``resumed`` flag),
+``task_dispatch``, ``task_done`` (task key digest, payload digest +
+pickled payload, timing, worker, optional trace and guard documents),
+``task_failed``, ``task_interrupted`` (graceful shutdown or watchdog),
+and ``run_end`` (``complete`` / ``interrupted``).  A resumed run
+appends a new ``run_start`` segment to the *same* file, so a second
+crash resumes from the union of both segments.  A record that lacks a
+field its type needs, or carries a field of the wrong type (down to a
+guard document's ``events`` and ``violations``), is corrupt.
 
 ``RESUMABLE_EXIT_CODE`` (75, BSD ``EX_TEMPFAIL``) is what the CLI exits
 with after a graceful SIGINT/SIGTERM drain — distinct from 0 (pass),
@@ -28,9 +30,10 @@ import base64
 import hashlib
 import os
 import pickle
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..core.atomicio import (
     RecordLog,
@@ -38,6 +41,7 @@ from ..core.atomicio import (
     conforms,
     orphan_tmp_files,
 )
+from .scheduler import Scheduler, TaskResult
 from .tasks import Task
 
 __all__ = [
@@ -46,6 +50,8 @@ __all__ = [
     "JournalError",
     "JournalState",
     "JournalWriter",
+    "JournalledRun",
+    "journalled",
     "task_key",
     "load_journal",
     "try_load_journal",
@@ -80,8 +86,20 @@ _TYPES = {
     "experiment": str,
     "index": int,
     "seconds": (int, float, type(None)),
+    "worker": str,
+    "trace": dict,
     "guard": dict,
 }
+
+#: The types a guard document's fields must have, when present.
+_GUARD_TYPES = {"events": list, "violations": int}
+
+
+def _well_formed(rec: Dict[str, Any]) -> bool:
+    guard = rec.get("guard", {})
+    return conforms(rec, _NEEDS, _TYPES) and all(
+        isinstance(guard[f], t) for f, t in _GUARD_TYPES.items() if f in guard
+    )
 
 
 def task_key(task: Task) -> str:
@@ -257,9 +275,6 @@ class JournalState:
         rec = self.completed[key]
         return _decode_payload(rec["payload"], rec.get("digest"))
 
-    def record_for(self, task: Task) -> Optional[Dict[str, Any]]:
-        return self.completed.get(task_key(task))
-
 
 def load_journal(path: Union[str, os.PathLike]) -> JournalState:
     """Replay a journal file into a :class:`JournalState`, with the
@@ -272,7 +287,7 @@ def load_journal(path: Union[str, os.PathLike]) -> JournalState:
     state.corrupt_records = corrupt + tail_corrupt
     state.torn_tail = torn
     for rec in records + tail:
-        if not conforms(rec, _NEEDS, _TYPES):
+        if not _well_formed(rec):
             state.corrupt_records += 1
             continue
         state.records += 1
@@ -315,6 +330,117 @@ def try_load_journal(
         return load_journal(path)
     except (JournalError, OSError):
         return None
+
+
+# ---------------------------------------------------------------------------
+# the journalled runner
+# ---------------------------------------------------------------------------
+
+@dataclass
+class JournalledRun:
+    """What :func:`journalled` yields: the tasks restored from the
+    resume state (by position in ``tasks``) and the number of stale
+    journalled completions, which re-run."""
+
+    scheduler: Scheduler
+    tasks: List[Task]
+    restored: Dict[int, TaskResult]
+    stale: int
+
+    @property
+    def pending(self) -> List[Task]:
+        return [t for i, t in enumerate(self.tasks) if i not in self.restored]
+
+    def map(self) -> List[TaskResult]:
+        """Run the pending tasks in one scheduler submission; returns
+        every task's result in task order, restored ones included."""
+        fresh = iter(self.scheduler.map(self.pending))
+        return [
+            self.restored[i] if i in self.restored else next(fresh)
+            for i in range(len(self.tasks))
+        ]
+
+
+def _restore(
+    tasks: Sequence[Task], fingerprint: str, state: JournalState
+) -> Tuple[Dict[int, TaskResult], int]:
+    """Results of the tasks journalled done by a segment with this
+    ``fingerprint`` whose payload decodes, and how many other
+    completions were stale: the journal can cost work, never change a
+    result."""
+    restored: Dict[int, TaskResult] = {}
+    stale = 0
+    for i, task in enumerate(tasks):
+        key = task_key(task)
+        rec = state.completed.get(key)
+        if rec is None:
+            continue
+        if rec.get("fingerprint") != fingerprint:
+            stale += 1
+            continue
+        try:
+            value = state.restore_payload(key)
+        except Exception:
+            stale += 1  # torn/corrupt payload: recompute
+            continue
+        restored[i] = TaskResult(
+            task, value, rec.get("seconds", 0.0),
+            worker=rec.get("worker", "journal"),
+            trace=rec.get("trace"), guard=rec.get("guard"),
+        )
+    return restored, stale
+
+
+@contextmanager
+def journalled(
+    scheduler: Scheduler,
+    tasks: Sequence[Task],
+    fingerprint: str,
+    journal: Optional[JournalWriter] = None,
+    resume: Optional[JournalState] = None,
+    header: Optional[Dict[str, Any]] = None,
+) -> Iterator[JournalledRun]:
+    """Restore ``tasks`` from ``resume``, then yield a
+    :class:`JournalledRun` whose ``map()`` runs the rest on
+    ``scheduler``.
+
+    With a ``journal``: ``run_start`` (``header``, fingerprint,
+    ``resumed``) and the ``task_dispatch`` plan go out before any work,
+    each result as the scheduler reports it (ahead of the caller's own
+    ``on_result`` hook), and ``run_end`` on a normal exit -- after
+    whatever the caller does in the block, such as cache writes.  An
+    exception leaves the segment open, as a crash would.
+    """
+    restored, stale = (
+        ({}, 0) if resume is None else _restore(tasks, fingerprint, resume)
+    )
+    run = JournalledRun(scheduler, list(tasks), restored, stale)
+    hook = scheduler.on_result
+    if journal is not None:
+        journal.run_start(
+            fingerprint=fingerprint, resumed=resume is not None,
+            **(header or {}),
+        )
+        for task in run.pending:
+            journal.task_dispatch(task)
+
+        def stream(r: TaskResult) -> None:
+            if r.interrupted:
+                journal.task_interrupted(r.task, r.error or "interrupted")
+            elif r.failed:
+                journal.task_failed(r.task, r)
+            else:
+                journal.task_done(r.task, r)
+            if hook is not None:
+                hook(r)
+
+        scheduler.on_result = stream
+    try:
+        yield run
+    finally:
+        scheduler.on_result = hook
+    if journal is not None:
+        journal.run_end("interrupted" if scheduler.interrupted else "complete")
 
 
 # ---------------------------------------------------------------------------

@@ -243,8 +243,8 @@ class Scheduler:
         self.interrupted = False
         #: Streaming hook: called exactly once per task with its final
         #: :class:`TaskResult`, *the moment it is known* (completion
-        #: order, not submission order).  The engine points this at the
-        #: journal so a completion is on stable storage before the next
+        #: order, not submission order).  ``journalled`` points this at
+        #: the journal so a completion is on stable storage before the next
         #: task is awaited — the write-ahead-log contract; a batch
         #: "journal everything after map()" would lose every finished
         #: task to a SIGKILL mid-run.

@@ -144,10 +144,12 @@ def infer_direction(name: str) -> str:
 def git_sha(root: Union[str, Path, None] = None) -> Optional[str]:
     """HEAD commit sha, read straight from ``.git`` (no subprocess).
 
-    Walks up from ``root`` (default: cwd) to the repository top; None
-    when there is no resolvable git checkout — documents written from a
-    tarball still collect, just without provenance."""
-    here = Path(root) if root is not None else Path.cwd()
+    Walks up from ``root`` (default: the directory of the ``repro``
+    sources, so the answer does not depend on the working directory) to
+    the repository top; None when there is no resolvable git checkout —
+    documents written from a tarball still collect, just without
+    provenance."""
+    here = Path(root) if root is not None else Path(__file__).parent
     for candidate in (here, *here.resolve().parents):
         git_dir = candidate / ".git"
         if git_dir.is_file():  # worktree: "gitdir: <path>"

@@ -11,9 +11,9 @@ at any ``--jobs``.  The runner:
   doubles as the baseline, it is not run twice);
 * enforces ``--budget N`` as a cap on total scenario evaluations,
   baselines included (dropped scenarios are counted, never silent);
-* journals every completion through the PR 4 WAL (`--journal`), so a
-  killed campaign resumes (`--resume`) restoring finished scenarios
-  byte-identically and re-running only the rest;
+* journals and resumes through :func:`~repro.exec.journal.journalled`,
+  the runner ``repro run`` uses, so a killed campaign resumes restoring
+  finished scenarios byte-identically and re-running only the rest;
 * scores each scenario against its baseline
   (:func:`~repro.scenarios.score.score_scenario`) and persists the
   campaign document via :mod:`repro.core.atomicio`.
@@ -32,8 +32,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.atomicio import atomic_write_text, canonical_json
-from ..core.frozen import load_frozen
-from ..exec.journal import JournalWriter, load_journal, task_key
+from ..core.frozen import load_frozen, write_frozen
+from ..exec.journal import JournalState, JournalWriter, journalled
 from ..exec.scheduler import Scheduler, TaskResult
 from ..exec.tasks import Task
 from .library import get_pack
@@ -189,8 +189,8 @@ def run_campaign(
     plan: CampaignPlan,
     *,
     jobs: int = 1,
-    journal_path: Optional[str] = None,
-    resume_path: Optional[str] = None,
+    journal: Optional[JournalWriter] = None,
+    resume_state: Optional[JournalState] = None,
     cancel: Optional[Any] = None,
     grace: float = 2.0,
     task_timeout: Optional[float] = None,
@@ -201,86 +201,40 @@ def run_campaign(
 
     Deterministic at any ``jobs`` (results are consumed in submission
     order) and under resume (restored payloads are the journalled
-    bytes).  ``resume_path`` implies journalling to the same file; a
-    journal whose fingerprint does not match this plan raises
-    :class:`CampaignError` (exit 2 at the CLI, like ``repro run``'s
-    meta mismatch).  Wall-clock ``seconds`` ride on each scenario entry
-    but are excluded from the scoreboard — the deterministic surface.
+    bytes).  ``journal`` and ``resume_state`` are the same pair
+    :class:`~repro.exec.engine.Engine` takes; a resume state whose
+    fingerprint does not match this plan raises :class:`CampaignError`
+    (exit 2 at the CLI, like ``repro run``'s meta mismatch).
+    Wall-clock ``seconds`` ride on each scenario entry but are excluded
+    from the scoreboard — the deterministic surface.
     """
-    tasks = _make_tasks(plan)
-    fingerprint = plan.fingerprint
-
-    restored: Dict[int, TaskResult] = {}
-    if resume_path:
-        state = load_journal(resume_path)
-        meta = state.meta or {}
-        if meta.get("fingerprint") != fingerprint:
+    if resume_state is not None:
+        recorded = (resume_state.meta or {}).get("fingerprint")
+        if recorded != plan.fingerprint:
             raise CampaignError(
-                f"journal {resume_path} records campaign fingerprint "
-                f"{meta.get('fingerprint')!r}, this plan is "
-                f"{fingerprint!r}: not the same campaign"
+                f"journal {resume_state.path} records campaign fingerprint "
+                f"{recorded!r}, this plan is {plan.fingerprint!r}: not the "
+                "same campaign"
             )
-        for t in tasks:
-            rec = state.record_for(t)
-            if rec is None or rec.get("fingerprint") != fingerprint:
-                continue
-            try:
-                value = state.restore_payload(task_key(t))
-            except Exception:
-                continue  # undecodable payload: re-run the scenario
-            restored[t.index] = TaskResult(
-                task=t, value=value, seconds=rec.get("seconds", 0.0),
-                worker="resume",
-            )
-        journal_path = resume_path
-
-    pending = [t for t in tasks if t.index not in restored]
-    writer = JournalWriter(journal_path) if journal_path else None
-    results: Dict[int, TaskResult] = dict(restored)
-    try:
-        if writer is not None:
-            writer.run_start(
-                keys=[f"scenario:{s.name}" for s in plan.ordered],
-                scale="campaign",
-                jobs=jobs,
-                fingerprint=fingerprint,
-                resumed=bool(restored),
-            )
-            for t in pending:
-                writer.task_dispatch(t)
-        if pending:
-            scheduler = Scheduler(
-                jobs=jobs, task_timeout=task_timeout, cancel_event=cancel,
-                grace=grace,
-            )
-            if writer is not None:
-                def _stream(r: TaskResult) -> None:
-                    if r.interrupted:
-                        writer.task_interrupted(
-                            r.task, r.error or "interrupted")
-                    elif r.failed:
-                        writer.task_failed(r.task, r)
-                    else:
-                        writer.task_done(r.task, r)
-                scheduler.on_result = _stream
-            if on_progress is not None:
-                prev = scheduler.on_result
-
-                def _progress(r: TaskResult) -> None:
-                    if prev is not None:
-                        prev(r)
-                    status = ("interrupted" if r.interrupted
-                              else "failed" if r.failed else "done")
-                    on_progress(f"{r.task.experiment}: {status}")
-                scheduler.on_result = _progress
-            for r in scheduler.map(pending):
-                results[r.task.index] = r
-        interrupted = any(r.interrupted for r in results.values())
-        if writer is not None:
-            writer.run_end("interrupted" if interrupted else "complete")
-    finally:
-        if writer is not None:
-            writer.close()
+    scheduler = Scheduler(
+        jobs=jobs, task_timeout=task_timeout, cancel_event=cancel,
+        grace=grace,
+    )
+    if on_progress is not None:
+        def _progress(r: TaskResult) -> None:
+            status = ("interrupted" if r.interrupted
+                      else "failed" if r.failed else "done")
+            on_progress(f"{r.task.experiment}: {status}")
+        scheduler.on_result = _progress
+    header = {
+        "keys": [f"scenario:{s.name}" for s in plan.ordered],
+        "scale": "campaign", "jobs": jobs,
+    }
+    with journalled(
+        scheduler, _make_tasks(plan), plan.fingerprint, journal=journal,
+        resume=resume_state, header=header,
+    ) as run:
+        results = run.map()
 
     doc = _assemble(plan, results)
     if out_path:
@@ -291,20 +245,19 @@ def run_campaign(
 
 
 def _assemble(
-    plan: CampaignPlan, results: Dict[int, TaskResult]
+    plan: CampaignPlan, results: List[TaskResult]
 ) -> Dict[str, Any]:
     """Score completed scenarios and build the campaign document."""
     baseline_payloads: Dict[Tuple[str, str], Dict[str, Any]] = {}
-    for i, s in enumerate(plan.ordered):
-        r = results.get(i)
-        if (r is not None and not r.failed and not r.interrupted
+    for s, r in zip(plan.ordered, results):
+        if (not r.failed and not r.interrupted
                 and plan.baselines.get((s.experiment, s.scale)) == s.name):
             baseline_payloads[(s.experiment, s.scale)] = r.value
 
     entries: List[Dict[str, Any]] = []
     scoreboard: List[Dict[str, Any]] = []
     interrupted = False
-    for i, s in enumerate(plan.ordered):
+    for s, r in zip(plan.ordered, results):
         is_base = plan.baselines.get((s.experiment, s.scale)) == s.name
         entry: Dict[str, Any] = {
             "name": s.name,
@@ -313,8 +266,7 @@ def _assemble(
             "describe": s.describe(),
             "baseline": is_base,
         }
-        r = results.get(i)
-        if r is None or r.interrupted:
+        if r.interrupted:
             entry["status"] = "interrupted"
             interrupted = True
             entries.append(entry)
@@ -378,11 +330,10 @@ def freeze_scenario(
 
     The frozen document carries the full spec (replay re-runs it from
     scratch), the expected result digest (the byte-identity contract),
-    and the score/provenance for the reader.  Written atomically; the
-    file name is the scenario name.
+    and the score/provenance for the reader, written with
+    :func:`~repro.core.frozen.write_frozen`; the file name is the
+    scenario name.
     """
-    dest_dir = Path(dest_dir)
-    dest_dir.mkdir(parents=True, exist_ok=True)
     doc = {
         "version": FROZEN_VERSION,
         "name": entry["name"],
@@ -394,9 +345,7 @@ def freeze_scenario(
         "score": entry["score"],
         "provenance": provenance or {},
     }
-    path = dest_dir / f"{entry['name']}.json"
-    atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_frozen(Path(dest_dir) / f"{entry['name']}.json", doc)
 
 
 def replay_frozen(path: Path) -> Dict[str, Any]:

@@ -63,7 +63,7 @@ import time
 from typing import Any, Dict, Optional, Tuple
 
 from ..core.atomicio import atomic_write_text, canonical_json
-from ..exec.journal import RESUMABLE_EXIT_CODE, try_load_journal
+from ..exec.journal import RESUMABLE_EXIT_CODE, JournalWriter, try_load_journal
 from .store import JobStore
 
 __all__ = ["execute_job", "finalize_job", "main", "template_main"]
@@ -131,7 +131,7 @@ def _execute_run(
     """One engine run with the per-job WAL; returns
     ``(metric document, interrupted)``."""
     from ..core.experiments import REGISTRY
-    from ..exec import Engine, JournalWriter
+    from ..exec import Engine
     from ..obs.collector import collect_run
 
     key = spec.get("key", "all")
@@ -142,13 +142,12 @@ def _execute_run(
         jobs=int(spec.get("jobs", 1)),
         fault_spec=spec.get("faults"),
         fault_seed=int(spec.get("seed", 0)),
+        journal=JournalWriter(journal_path),
         resume_state=try_load_journal(journal_path),
         cancel_event=cancel,
         grace=float(spec.get("grace", 5.0)),
     )
-    with JournalWriter(journal_path) as writer:
-        engine.journal = writer
-        outcomes = engine.run_many(keys, scale=scale)
+    outcomes = engine.run_many(keys, scale=scale)
     if engine.stats.interrupted:
         return {}, True
     return collect_run(engine.stats, outcomes, keys=keys, scale=scale), False
@@ -194,12 +193,11 @@ def _execute_campaign(
     name, specs = resolve_selector(spec.get("selector", "mixed-chaos"))
     plan = plan_campaign(name, specs, budget=spec.get("budget"))
     journal_path = store.journal_path(job_id)
-    resume = str(journal_path) if try_load_journal(journal_path) else None
     doc = run_campaign(
         plan,
         jobs=int(spec.get("jobs", 1)),
-        journal_path=None if resume else str(journal_path),
-        resume_path=resume,
+        journal=JournalWriter(journal_path),
+        resume_state=try_load_journal(journal_path),
         cancel=cancel,
         grace=float(spec.get("grace", 2.0)),
     )

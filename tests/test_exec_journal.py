@@ -235,8 +235,16 @@ class TestRecordShape:
         {"type": "task_done", "key": "k", "label": "x", "seconds": "1"},
         {"type": "task_done", "key": "k", "label": "x", "index": "0"},
         {"type": "task_done", "key": "k", "label": "x", "guard": [1]},
+        {"type": "task_done", "key": "k", "label": "x", "trace": 5},
+        {"type": "task_done", "key": "k", "label": "x", "worker": 0},
+        {"type": "task_done", "key": "k", "label": "x",
+         "guard": {"events": 3}},
+        {"type": "task_done", "key": "k", "label": "x",
+         "guard": {"violations": "2"}},
     ], ids=["no-key", "no-label", "list-key", "interrupted-no-key",
-            "dispatch-no-key", "str-seconds", "str-index", "list-guard"])
+            "dispatch-no-key", "str-seconds", "str-index", "list-guard",
+            "int-trace", "int-worker", "int-guard-events",
+            "str-guard-violations"])
     def test_wrong_shape_counts_as_corrupt(self, tmp_path, capsys, bad):
         from repro.cli import main
         from repro.exec import guard_summary
@@ -258,6 +266,35 @@ class TestRecordShape:
         assert json.loads(capsys.readouterr().out)["corrupt_records"] == 1
         assert main(["journal", "show", str(path)]) == 0
         assert main(["guard", "report", str(path)]) == 0
+
+    @pytest.mark.parametrize("field, value", [
+        ("trace", 5),
+        ("worker", 0),
+        ("guard", {"events": 3}),
+        ("guard", {"violations": "2"}),
+    ], ids=["int-trace", "int-worker", "int-guard-events",
+            "str-guard-violations"])
+    def test_misshapen_task_done_reruns_on_resume(
+        self, tmp_path, capsys, field, value
+    ):
+        """A real ``task_done`` re-encoded (valid checksum) with a field
+        of the wrong inner shape: resume re-runs that task instead of
+        crashing in the trace merge, and ``guard report`` reads on."""
+        from repro.cli import main
+
+        path = tmp_path / "run.jnl"
+        assert main(["run", "lst1", "--journal", str(path)]) == 0
+        records = [decode_record(l) for l in path.read_text().splitlines()]
+        done = [r for r in records if r["type"] == "task_done"]
+        done[0][field] = value
+        path.write_text("".join(encode_record(r) for r in records))
+        assert load_journal(path).corrupt_records == 1
+        assert main(["guard", "report", str(path)]) == 0
+        trace = tmp_path / "t.json"
+        assert main(["run", "lst1", "--resume", str(path),
+                     "--trace", str(trace)]) == 0
+        assert (f"{len(done) - 1} task(s) restored, 1 executed"
+                in capsys.readouterr().err)
 
 
 class TestEngineResume:

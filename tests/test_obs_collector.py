@@ -19,6 +19,7 @@ What is pinned here:
 """
 
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -39,6 +40,7 @@ from repro.obs.collector import (
     collect_faults,
     collect_run,
     document_digest,
+    git_sha,
     infer_direction,
     metric,
     strip_volatile,
@@ -191,6 +193,19 @@ volatile_strategy = st.dictionaries(
     ),
     max_size=5,
 )
+
+
+class TestGitSha:
+    def test_default_is_the_sources_checkout_not_the_cwd(
+        self, tmp_path, monkeypatch
+    ):
+        """``meta.git_sha`` (and so every document digest) is the same
+        wherever the command runs from."""
+        import repro
+
+        repo_root = Path(repro.__file__).resolve().parents[2]
+        monkeypatch.chdir(tmp_path)
+        assert git_sha() == git_sha(repo_root)
 
 
 class TestDigest:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.frozen import FrozenFileError, frozen_paths
+from repro.exec import JournalWriter, load_journal
 from repro.scenarios import scenario
 from repro.scenarios.autopilot import run_autopilot
 from repro.scenarios.campaign import (
@@ -96,18 +97,23 @@ class TestCampaignRun:
 
     def test_journal_resume_restores_byte_identically(self, plan, tmp_path):
         jnl = tmp_path / "camp.jnl"
-        doc1 = run_campaign(plan, journal_path=str(jnl))
-        doc2 = run_campaign(plan, resume_path=str(jnl))
+        doc1 = run_campaign(plan, journal=JournalWriter(jnl))
+        doc2 = run_campaign(plan, journal=JournalWriter(jnl),
+                            resume_state=load_journal(jnl))
         assert _strip_seconds(doc1) == _strip_seconds(doc2)
         # Every scenario was restored, none re-executed.
         assert all(e["status"] == "done" for e in doc2["scenarios"])
+        # The second segment is run_start + run_end: nothing dispatched.
+        state = load_journal(jnl)
+        assert state.runs == 2 and state.complete
+        assert state.records == 2 * len(plan.ordered) + 4
 
     def test_resume_rejects_foreign_journal(self, plan, tmp_path):
         jnl = tmp_path / "other.jnl"
         other = plan_campaign("other", [scenario("solo", faults="lossy")])
-        run_campaign(other, journal_path=str(jnl))
+        run_campaign(other, journal=JournalWriter(jnl))
         with pytest.raises(CampaignError, match="fingerprint"):
-            run_campaign(plan, resume_path=str(jnl))
+            run_campaign(plan, resume_state=load_journal(jnl))
 
     def test_out_path_written_atomically(self, plan, tmp_path):
         out = tmp_path / "doc.json"
