@@ -70,11 +70,13 @@ instead of a traceback; a second signal force-quits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import signal
 import sys
 import threading
+from importlib import import_module
 from typing import List, Optional
 
 from .core.experiments import REGISTRY
@@ -91,10 +93,11 @@ from .exec import (
     load_journal,
     verify_journal,
 )
+from .exec.journal import try_load_journal
 from .chaos.workloads import WORKLOADS as CHAOS_WORKLOADS
 from .guard import GUARD_MODES
 
-__all__ = ["main", "build_parser"]
+__all__ = ["UsageError", "build_parser", "job_command", "main"]
 
 
 class _GracefulShutdown:
@@ -145,6 +148,25 @@ def _error(message: str) -> int:
     return 2
 
 
+class UsageError(Exception):
+    """A malformed invocation or job spec.  ``main`` prints ``usage``
+    (empty for a value a flag's validator rejected) and the message,
+    and exits 2; the serve API answers 400 with the message."""
+
+    def __init__(self, message: str, usage: str = "") -> None:
+        super().__init__(message)
+        self.usage = usage
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`UsageError` where argparse would exit, so a
+    daemon's request threads can parse job specs too."""
+
+    def error(self, message: str):
+        raise UsageError(f"{self.prog}: error: {message}",
+                         self.format_usage())
+
+
 def _dumps(doc) -> str:
     """The one JSON layout every ``--json`` document and file uses."""
     return json.dumps(doc, indent=2, sort_keys=True)
@@ -156,8 +178,6 @@ def _lazy(module: str, name: str, key: Optional[str] = None):
     it is applied to ``doc[key]`` and renders nothing when that is
     empty."""
     def call(doc):
-        from importlib import import_module
-
         fn = getattr(import_module(f"{__package__}.{module}"), name)
         if key is None:
             return fn(doc)
@@ -170,7 +190,13 @@ def _probe(path: str, verb: str, what: str) -> int:
     a typo'd path costs nothing.  ``write``: the file opens for
     appending (which never truncates, so a journal about to be resumed
     is safe); ``read``: it also exists already; ``open``: a metric
-    store can be created there."""
+    store can be created there.  What the probe creates it removes
+    again: the command creates an output when it writes one, so a usage
+    error leaves no new file behind."""
+    absent, parent = [], os.path.abspath(path)
+    while not os.path.lexists(parent):
+        absent.append(parent)
+        parent = os.path.dirname(parent)
     try:
         if verb == "open":
             from .obs.collector import MetricsStore
@@ -182,6 +208,12 @@ def _probe(path: str, verb: str, what: str) -> int:
             open(path, "a").close()
     except OSError as exc:
         return _error(f"cannot {verb} {what} at {path!r}: {exc}")
+    finally:
+        for created in absent:  # deepest first
+            if os.path.isdir(created):
+                os.rmdir(created)
+            elif os.path.lexists(created):
+                os.unlink(created)
     return 0
 
 
@@ -287,6 +319,56 @@ def _int_at_least(low: int, note: str = ""):
 _JOBS = _int_at_least(0, " (0 = one per CPU)")
 
 
+# Validators for names only the program knows.  They raise UsageError,
+# which argparse lets through, so the complaint is the bare message.
+
+def _experiment(all_ok: bool):
+    def parse(key: str) -> str:
+        if key in REGISTRY or (all_ok and key == "all"):
+            return key
+        raise UsageError(
+            f"unknown experiment {key!r}; valid names: "
+            f"{', '.join(sorted(REGISTRY))}" + " (or 'all')" * all_ok)
+    return parse
+
+
+def _valid(module: str, check: str, error: str, keep_result=False):
+    """The value, once ``repro.<module>.<check>(value)`` accepts it (with
+    ``keep_result``, ``(value, result)``, so the command need not run the
+    check again); the module's ``error`` it raises becomes a UsageError."""
+    def parse(value: str):
+        found = import_module(f"{__package__}.{module}")
+        try:
+            result = getattr(found, check)(value)
+        except getattr(found, error) as exc:
+            raise UsageError(str(exc)) from None
+        return (value, result) if keep_result else value
+    return parse
+
+
+def _bounded(convert, low, message: str):
+    """A number ``convert`` parses, refused below ``low`` with the bare
+    ``message`` (``{}`` is the number) the command used to print."""
+    def parse(value: str):
+        number = convert(value)
+        if number < low:
+            raise UsageError(message.format(number))
+        return number
+    parse.__name__ = convert.__name__  # "invalid float value: 'x'"
+    return parse
+
+
+_GRACE = _bounded(float, 0, "grace must be >= 0")
+_FAULT_SPEC = _valid("mpi.faults", "parse_fault_spec", "FaultSpecError")
+
+
+def _severities(text: str) -> List[str]:
+    severities = [s.strip() for s in text.split(",") if s.strip()]
+    if not severities:
+        raise UsageError("no fault severities given")
+    return [_FAULT_SPEC(spec) for spec in severities]
+
+
 def _json(what: str, dest: str = "json_doc", note: str = ""):
     return _arg("--json", action="store_true", dest=dest,
                 help=f"emit {what} as JSON on stdout{note}")
@@ -324,13 +406,6 @@ def _url(text: Optional[str] = None):
     return _arg("--url", default=None, metavar="URL", help=text)
 
 
-def _unknown_experiment(key: str):
-    return None, _error(
-        f"unknown experiment {key!r}; valid names: "
-        f"{', '.join(sorted(REGISTRY))} (or 'all')"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Commands: each returns (doc, exit code)
 # ---------------------------------------------------------------------------
@@ -344,8 +419,6 @@ def _list(args, *_):
 
 
 def _claims(args, *_):
-    if args.key not in REGISTRY:
-        return _unknown_experiment(args.key)
     return "\n".join(f"- {c.text}" for c in REGISTRY[args.key].claims), 0
 
 
@@ -407,8 +480,6 @@ def _open_journal(args):
 def _run(args, shutdown, recorder):
     key = args.key
     keys = list(REGISTRY) if key == "all" else [key]
-    if key != "all" and key not in REGISTRY:
-        return _unknown_experiment(key)
     if args.guard_out is not None and args.guard_mode == "off":
         return None, _error("--guard-out needs an active guard; add "
                             "--guard observe|strict|repair")
@@ -436,7 +507,7 @@ def _run(args, shutdown, recorder):
             guard_cadence=args.guard_cadence,
             guard_inject=args.guard_inject,
         )
-    except ValueError as exc:  # a FaultSpecError says "bad fault spec"
+    except ValueError as exc:  # e.g. a non-positive --watchdog
         return None, _error(str(exc))
 
     if resume_state is not None:
@@ -547,21 +618,14 @@ def _collect_run(run: dict) -> dict:
 
 
 def _faults(args, shutdown, recorder):
-    from .mpi.faults import fault_drift_report, list_presets, parse_fault_spec
+    from .mpi.faults import fault_drift_report, list_presets
     from .obs import recording, trace_span
 
     if args.list_presets:  # a catalogue, not a sweep: nothing to record
         presets = list_presets()
         _emit(presets, args.json_doc, _render_presets)
         return None, 0
-    severities = [s.strip() for s in args.severities.split(",") if s.strip()]
-    if not severities:
-        return None, _error("no fault severities given")
-    try:
-        for spec in severities:
-            parse_fault_spec(spec, seed=args.seed)
-    except ValueError as exc:
-        return None, _error(str(exc))
+    severities = args.severities
     with recording(recorder), trace_span(
         "fault_sweep", category="sweep",
         seed=args.seed, severities=",".join(severities),
@@ -609,16 +673,14 @@ def _campaign_list(args, *_):
 
 
 def _campaign_run(args, shutdown, recorder):
-    from .scenarios import ScenarioError
     from .scenarios.campaign import (
         CampaignError,
         plan_campaign,
-        resolve_selector,
         run_campaign,
     )
 
+    selector, (name, specs) = args.selector
     try:
-        name, specs = resolve_selector(args.selector)
         journal, resume_state = _open_journal(args)
         doc = run_campaign(
             plan_campaign(name, specs, budget=args.budget),
@@ -631,13 +693,13 @@ def _campaign_run(args, shutdown, recorder):
             out_path=args.out_path,
             on_progress=_progress,
         )
-    except (ScenarioError, CampaignError, JournalError) as exc:
+    except (CampaignError, JournalError) as exc:
         return None, _error(str(exc))
     if doc["interrupted"]:
         if journal is not None:
             print(
                 f"campaign interrupted; resume with: repro campaign run "
-                f"{args.selector} --resume {journal.path}",
+                f"{selector} --resume {journal.path}",
                 file=sys.stderr,
             )
         return doc, RESUMABLE_EXIT_CODE
@@ -959,11 +1021,22 @@ _STORE = _arg(
 )
 _JOURNAL_FILE = _arg("file", help="journal file written by --journal")
 
+#: What a serve job of each kind runs: its command, and the spec keys it
+#: takes -- ``NAME=DEFAULT`` fills the positional, every other key
+#: becomes ``--KEY``.
+_JOB_SPECS = {
+    "run": ("run", "key=all scale jobs faults seed grace"),
+    "faults": ("faults", "seed severities nranks repetitions"),
+    "campaign": ("campaign run", "selector=mixed-chaos budget jobs grace"),
+    "autopilot": ("campaign autopilot", "pack budget seed jobs"),
+}
+
 _COMMANDS = (
     ("list", "list registered experiments", _Command(_list)),
     ("run", "run an experiment and check claims", _Command(
         _run,
-        _arg("key", help="experiment key (fig1..fig5, lst1) or 'all'"),
+        _arg("key", type=_experiment(all_ok=True),
+             help="experiment key (fig1..fig5, lst1) or 'all'"),
         _arg("--scale", default="ci", choices=["ci", "paper"],
              help="problem scale (default: ci)"),
         _arg("--quiet", action="store_true",
@@ -980,7 +1053,7 @@ _COMMANDS = (
              help="print per-task timings and cache hit/miss statistics"),
         _json("run statistics", dest="json_stats",
               note=" (suppresses reports)"),
-        _arg("--faults", default="off", metavar="SPEC",
+        _arg("--faults", type=_FAULT_SPEC, default="off", metavar="SPEC",
              help="fault-injection spec: off, a preset "
              "(degraded, lossy, straggler, failstop) with optional "
              "':severity' multiplier, or 'key=value,...' overrides "
@@ -1021,7 +1094,7 @@ _COMMANDS = (
              output=("write", "guard report"),
              help="write the run's guard report (events, violations, "
              "remediation chains) to FILE as JSON; requires --guard"),
-        _arg("--grace", type=float, default=5.0, metavar="S",
+        _arg("--grace", type=_GRACE, default=5.0, metavar="S",
              help="seconds to let in-flight tasks finish after SIGINT/SIGTERM "
              "before the pool is terminated (default: 5)"),
         _arg("--watchdog", type=float, default=None, metavar="S",
@@ -1064,7 +1137,8 @@ _COMMANDS = (
          _faults,
          _arg("--seed", type=int, default=0, metavar="N",
               help="fault-plan seed (default: 0)"),
-         _arg("--severities", default="off,degraded,lossy,straggler,failstop",
+         _arg("--severities", type=_severities,
+              default="off,degraded,lossy,straggler,failstop",
               metavar="LIST", help="comma-separated fault specs to sweep "
               "(default: off,degraded,lossy,straggler,failstop)"),
          _arg("--nranks", type=_int_at_least(1), default=16, metavar="N",
@@ -1089,7 +1163,9 @@ _COMMANDS = (
          ("run", "run a scenario pack (or a scenario spec file) and print "
           "the drift/remediation scoreboard", _Command(
               _campaign_run,
-              _arg("selector",
+              _arg("selector", type=_valid("scenarios.campaign",
+                                           "resolve_selector", "ScenarioError",
+                                           keep_result=True),
                    help="pack name (see 'repro campaign list') or a path to "
                    "a JSON/YAML scenario document"),
               _arg("--budget", type=_int_at_least(1), default=None,
@@ -1109,7 +1185,7 @@ _COMMANDS = (
               _arg("--task-timeout", type=float, default=None, metavar="S",
                    help="per-scenario wall-clock bound in seconds (pool "
                    "mode)"),
-              _arg("--grace", type=float, default=2.0, metavar="S",
+              _arg("--grace", type=_GRACE, default=2.0, metavar="S",
                    help="drain grace period after SIGINT/SIGTERM "
                    "(default: 2)"),
               _json("the campaign document"),
@@ -1122,8 +1198,10 @@ _COMMANDS = (
           "freezes the top offenders as replayable regressions", _Command(
               _campaign_autopilot,
               _arg("--pack", default="mixed-chaos", metavar="NAME",
+                   type=_valid("scenarios", "get_pack", "ScenarioError"),
                    help="seed population pack (default: mixed-chaos)"),
-              _arg("--budget", type=int, default=20, metavar="N",
+              _arg("--budget", default=20, metavar="N", type=_bounded(
+                  int, 1, "autopilot budget must be >= 1, got {}"),
                    help="total scenario-evaluation budget, baselines "
                    "included (default: 20)"),
               _arg("--seed", type=int, default=0, metavar="N",
@@ -1230,8 +1308,7 @@ _COMMANDS = (
           )),
          ("submit", "submit a job to a running daemon", _Command(
              _serve_client(_serve_submit),
-             _arg("kind", choices=["run", "faults", "campaign", "autopilot"],
-                  help="what to run"),
+             _arg("kind", choices=list(_JOB_SPECS), help="what to run"),
              _url("daemon address (default: $REPRO_SERVE_URL or "
                   "http://127.0.0.1:8750)"),
              _arg("--key", default=None, help="experiment key for run jobs"),
@@ -1286,7 +1363,7 @@ _COMMANDS = (
           )),
      )),
     ("claims", "show an experiment's claims", _Command(
-        _claims, _arg("key"),
+        _claims, _arg("key", type=_experiment(all_ok=False)),
     )),
     ("cache", "inspect or clear the result cache", _Command(
         _cache,
@@ -1348,7 +1425,7 @@ def _add_commands(sub, table) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the ``repro`` argument parser from the command table."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="repro",
         description="Reproduce 'Productivity meets Performance: Julia on "
         "A64FX' (CLUSTER 2022)",
@@ -1358,11 +1435,58 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+#: The parser, built once per process (a forked worker inherits it
+#: from the serve worker template).
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
+def job_command(kind: str, spec: dict, journal=None):
+    """A serve job as the command-table entry it runs: ``(command,
+    args)``, its spec parsed by the CLI's own parser.
+
+    ``{"key": "fig1", "jobs": 2}`` parses as ``run fig1 --jobs 2``.
+    Keys starting with ``_`` (test levers) and ``None`` values are
+    dropped; an unknown kind, a spec that is not an object, a key the
+    kind does not take, or a value its command rejects raises
+    :class:`UsageError`.  ``journal`` is the job's run
+    journal, for the kinds that keep one: resumed (``--resume``) when it
+    holds a valid segment, started (``--journal``) otherwise.
+    """
+    if not (isinstance(kind, str) and kind in _JOB_SPECS):
+        raise UsageError(f"unknown job kind {kind!r} (expected one of "
+                         f"{', '.join(_JOB_SPECS)})")
+    if not isinstance(spec, dict):
+        raise UsageError("job spec must be a JSON object")
+    command, keys = _JOB_SPECS[kind]
+    accepted = dict(k.partition("=")[::2] for k in keys.split())
+    given = {k: v for k, v in spec.items()
+             if not k.startswith("_") and v is not None}
+    unknown = sorted(set(given) - set(accepted))
+    if unknown:
+        raise UsageError(
+            f"unknown {kind} job spec key(s): {', '.join(unknown)} "
+            f"(accepted: {', '.join(accepted)})")
+    argv = [*command.split(),
+            *(f"--{k}={v}" for k, v in given.items() if not accepted[k])]
+    for key, default in accepted.items():
+        if default:  # after "--" no value is read as a flag ("--help")
+            argv += ["--", str(given.get(key, default))]
+    args = _parser().parse_args(argv)
+    if journal is not None and hasattr(args, "journal_path"):
+        resume = try_load_journal(journal) is not None
+        setattr(args, "resume_path" if resume else "journal_path",
+                str(journal))
+    return args.handler, args
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit status."""
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # --help (0) or a usage error (2)
+        args = _parser().parse_args(argv)
+    except UsageError as exc:
+        print(f"{exc.usage}{exc}", file=sys.stderr)
+        return 2
+    except SystemExit as exc:  # --help
         return exc.code
     try:
         return args.handler(args)

@@ -16,8 +16,8 @@ Layers:
 * :mod:`repro.serve.store` — the durable job database (state-dir
   layout, record vocabulary, last-record-wins replay);
 * :mod:`repro.serve.worker` — the worker template the daemon forks
-  workers from, and the worker body that executes one leased job
-  under a heartbeat;
+  workers from, and the worker body that runs one leased job's
+  ``repro`` command-table entry under a heartbeat;
 * :mod:`repro.serve.daemon` — the lease/requeue/backoff control loop
   plus graceful drain (SIGTERM → exit 75 with a resume hint);
 * :mod:`repro.serve.api` — the HTTP endpoints (submit, status,

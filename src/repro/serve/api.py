@@ -11,7 +11,8 @@ Endpoints::
 
     GET  /healthz                     liveness, queue depths, template
     GET  /api/jobs                    all jobs (replayed view)
-    POST /api/jobs                    submit {kind, spec} -> {job_id}
+    POST /api/jobs                    submit {kind, spec} -> {job_id};
+                                      400 on a spec the CLI rejects
     GET  /api/jobs/JOB                one job's status document
     GET  /api/jobs/JOB/journal?tail=N per-job run-journal tail (JSONL)
     GET  /api/jobs/JOB/result         final result document
@@ -28,6 +29,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
+from ..cli import UsageError, job_command
 from .store import ServeStoreError
 from .daemon import ServeDaemon
 
@@ -67,8 +69,9 @@ def _routes(daemon: ServeDaemon, shutdown: threading.Event):
         if daemon.draining:
             return 409, {"error": "daemon is draining; not accepting jobs"}
         try:
+            job_command(kind, spec)  # parses as what the worker runs
             job_id = store.submit(kind, spec)
-        except ServeStoreError as exc:
+        except (UsageError, ServeStoreError) as exc:
             return 400, {"error": str(exc)}
         daemon.wake()
         return 200, {"job_id": job_id, "kind": kind}

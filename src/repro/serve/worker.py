@@ -15,16 +15,13 @@ daemon that dies mid-job leaves an orphan worker that keeps making
 durable progress — the restarted daemon sees its fresh heartbeats and
 leaves the lease alone.
 
-Execution per kind mirrors the CLI command byte-for-byte (same engine
-wiring, same collector) so a job's metric-document ``digest`` is
-identical to ``repro run/faults/campaign/autopilot`` at any job count:
-
-* ``run``       → :class:`repro.exec.Engine` with the per-job journal
-  (resumed when a previous attempt left one) → ``collect_run``;
-* ``faults``    → ``fault_drift_report`` → ``collect_faults``;
-* ``campaign``  → ``resolve_selector``/``plan_campaign``/
-  ``run_campaign`` with the per-job journal → ``collect_campaign``;
-* ``autopilot`` → ``run_autopilot`` → ``collect_autopilot``.
+A job runs the command-table entry of ``repro run``, ``repro faults``,
+``repro campaign run`` or ``repro campaign autopilot``: its spec is
+parsed by the CLI's own parser (:func:`repro.cli.job_command`), the
+per-job journal is passed as ``--resume`` when a previous attempt left
+a valid segment and as ``--journal`` otherwise, and the document is
+collected as ``--metrics-dir`` would, so a job's metric-document
+``digest`` is identical to the CLI's at any job count.
 
 Exit contract: 0 = job_done appended; 1 = job_failed appended (typed
 terminal error); 75 = drained on SIGTERM with the journal checkpointed
@@ -32,10 +29,10 @@ terminal error); 75 = drained on SIGTERM with the journal checkpointed
 worker appends nothing — its lease goes stale and the daemon
 re-dispatches with backoff.
 
-Spec keys starting with ``_`` are test levers, stripped before
-execution (they never reach the engine, so they cannot perturb
-digests).  ``_wedge_attempts: K`` makes attempts ``<= K`` wedge —
-stop heartbeating and hang until killed — which is how the test suite
+Spec keys starting with ``_`` are test levers, dropped by the parse
+(they never reach the engine, so they cannot perturb digests).
+``_wedge_attempts: K`` makes attempts ``<= K`` wedge — stop
+heartbeating and hang until killed — which is how the test suite
 produces a deterministic lease expiry.
 
 Template protocol: one JSON object per line.  The daemon writes
@@ -52,7 +49,9 @@ so every process-global a worker inherits is at import-time state.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import io
 import json
 import os
 import select
@@ -60,22 +59,20 @@ import signal
 import sys
 import threading
 import time
+from types import SimpleNamespace
 from typing import Any, Dict, Optional, Tuple
 
 from ..core.atomicio import atomic_write_text, canonical_json
-from ..exec.journal import RESUMABLE_EXIT_CODE, JournalWriter, try_load_journal
+from ..exec.journal import RESUMABLE_EXIT_CODE
 from .store import JobStore
 
 __all__ = ["execute_job", "finalize_job", "main", "template_main"]
 
-#: Modules the template imports before its first fork: what a ``run``
-#: job needs.  Other job kinds import lazily inside the worker, so the
-#: template stays no larger than a cold worker.
-TEMPLATE_PRELOAD = (
-    "repro.core.experiments",
-    "repro.exec",
-    "repro.obs.collector",
-)
+#: Modules the template imports before its first fork: the CLI, whose
+#: parser every job's spec goes through (and with it the ``run`` path),
+#: and the collector.  Other job kinds import lazily inside the worker,
+#: so the template stays no larger than a cold worker.
+TEMPLATE_PRELOAD = ("repro.cli", "repro.obs.collector")
 
 #: Default seconds between worker heartbeats into the job log.
 DEFAULT_HEARTBEAT_S = 1.0
@@ -122,108 +119,6 @@ def _job_summary(kind: str, doc: Dict[str, Any]) -> Dict[str, Any]:
     return summary
 
 
-def _execute_run(
-    spec: Dict[str, Any],
-    store: JobStore,
-    job_id: str,
-    cancel: threading.Event,
-) -> Tuple[Dict[str, Any], bool]:
-    """One engine run with the per-job WAL; returns
-    ``(metric document, interrupted)``."""
-    from ..core.experiments import REGISTRY
-    from ..exec import Engine
-    from ..obs.collector import collect_run
-
-    key = spec.get("key", "all")
-    keys = list(REGISTRY) if key == "all" else [key]
-    scale = spec.get("scale", "ci")
-    journal_path = store.journal_path(job_id)
-    engine = Engine(
-        jobs=int(spec.get("jobs", 1)),
-        fault_spec=spec.get("faults"),
-        fault_seed=int(spec.get("seed", 0)),
-        journal=JournalWriter(journal_path),
-        resume_state=try_load_journal(journal_path),
-        cancel_event=cancel,
-        grace=float(spec.get("grace", 5.0)),
-    )
-    outcomes = engine.run_many(keys, scale=scale)
-    if engine.stats.interrupted:
-        return {}, True
-    return collect_run(engine.stats, outcomes, keys=keys, scale=scale), False
-
-
-def _execute_faults(
-    spec: Dict[str, Any], cancel: threading.Event
-) -> Tuple[Dict[str, Any], bool]:
-    from ..mpi.faults import fault_drift_report
-    from ..obs.collector import collect_faults
-
-    kwargs: Dict[str, Any] = {
-        "seed": int(spec.get("seed", 0)),
-        "cancel": cancel.is_set,
-    }
-    if spec.get("severities"):
-        kwargs["severities"] = [
-            s.strip() for s in str(spec["severities"]).split(",") if s.strip()
-        ]
-    if spec.get("nranks"):
-        kwargs["nranks"] = int(spec["nranks"])
-    if spec.get("repetitions"):
-        kwargs["repetitions"] = int(spec["repetitions"])
-    doc = fault_drift_report(**kwargs)
-    if doc.get("interrupted"):
-        return {}, True
-    return collect_faults(doc), False
-
-
-def _execute_campaign(
-    spec: Dict[str, Any],
-    store: JobStore,
-    job_id: str,
-    cancel: threading.Event,
-) -> Tuple[Dict[str, Any], bool]:
-    from ..obs.collector import collect_campaign
-    from ..scenarios.campaign import (
-        plan_campaign,
-        resolve_selector,
-        run_campaign,
-    )
-
-    name, specs = resolve_selector(spec.get("selector", "mixed-chaos"))
-    plan = plan_campaign(name, specs, budget=spec.get("budget"))
-    journal_path = store.journal_path(job_id)
-    doc = run_campaign(
-        plan,
-        jobs=int(spec.get("jobs", 1)),
-        journal=JournalWriter(journal_path),
-        resume_state=try_load_journal(journal_path),
-        cancel=cancel,
-        grace=float(spec.get("grace", 2.0)),
-    )
-    if doc["interrupted"]:
-        return {}, True
-    return collect_campaign(doc), False
-
-
-def _execute_autopilot(
-    spec: Dict[str, Any], cancel: threading.Event
-) -> Tuple[Dict[str, Any], bool]:
-    from ..obs.collector import collect_autopilot
-    from ..scenarios.autopilot import run_autopilot
-
-    doc = run_autopilot(
-        pack=spec.get("pack", "mixed-chaos"),
-        budget=int(spec.get("budget", 20)),
-        seed=int(spec.get("seed", 0)),
-        jobs=int(spec.get("jobs", 1)),
-        cancel=cancel,
-    )
-    if doc["interrupted"]:
-        return {}, True
-    return collect_autopilot(doc), False
-
-
 def execute_job(
     store: JobStore,
     job_id: str,
@@ -231,21 +126,24 @@ def execute_job(
     spec: Dict[str, Any],
     cancel: threading.Event,
 ) -> Tuple[Optional[Dict[str, Any]], bool]:
-    """Run one job to its metric document.
+    """Run one job's command-table entry to its metric document.
 
     Returns ``(document, interrupted)`` — ``interrupted=True`` means a
-    graceful drain checkpointed the job instead of finishing it.
+    graceful drain checkpointed the job instead of finishing it.  What
+    the command says on stderr is kept out of the worker's; a command
+    that ends in a usage error raises it as :class:`UsageError`.
     """
-    spec = {k: v for k, v in spec.items() if not k.startswith("_")}
-    if kind == "run":
-        return _execute_run(spec, store, job_id, cancel)
-    if kind == "faults":
-        return _execute_faults(spec, cancel)
-    if kind == "campaign":
-        return _execute_campaign(spec, store, job_id, cancel)
-    if kind == "autopilot":
-        return _execute_autopilot(spec, cancel)
-    raise ValueError(f"unknown job kind {kind!r}")
+    from ..cli import UsageError, job_command
+
+    command, args = job_command(kind, spec, store.journal_path(job_id))
+    said = io.StringIO()
+    with contextlib.redirect_stderr(said):
+        doc, code = command.run(args, SimpleNamespace(event=cancel), None)
+    if code == RESUMABLE_EXIT_CODE:
+        return None, True
+    if doc is None:
+        raise UsageError(said.getvalue().strip() or f"exit {code}")
+    return command.collect(doc), False
 
 
 def finalize_job(
@@ -381,11 +279,14 @@ def _worker_child(
 
 
 def template_main(state_dir: str) -> int:
-    """Preload the ``run`` path, then fork one worker per lease read
-    from stdin until stdin closes (the daemon drained or died; running
-    workers live on in their own sessions)."""
+    """Preload the ``run`` path and build the CLI parser, then fork one
+    worker per lease read from stdin until stdin closes (the daemon
+    drained or died; running workers live on in their own sessions)."""
     for name in TEMPLATE_PRELOAD:
         importlib.import_module(name)
+    from ..cli import job_command
+
+    job_command("run", {})  # builds the parser every fork then inherits
     wake_r, wake_w = os.pipe()
     for fd in (wake_r, wake_w):
         os.set_blocking(fd, False)

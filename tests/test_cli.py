@@ -4,7 +4,7 @@ import argparse
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import UsageError, build_parser, main
 
 
 def _parser_doc(parser, path="repro", help=None, out=None):
@@ -49,7 +49,7 @@ def test_parser_matches_golden(golden):
 
 class TestParser:
     def test_requires_command(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(UsageError):
             build_parser().parse_args([])
 
     def test_run_defaults(self):
@@ -58,7 +58,7 @@ class TestParser:
         assert not args.quiet
 
     def test_scale_choices(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(UsageError):
             build_parser().parse_args(["run", "fig1", "--scale", "huge"])
 
     def test_engine_flag_defaults(self):
@@ -109,7 +109,8 @@ class TestCommands:
 
     def test_claims_unknown_lists_valid_names(self, capsys):
         assert main(["claims", "fig42"]) == 2
-        assert "fig5" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "fig5" in err and "'all'" not in err  # claims takes no 'all'
 
     def test_run_fig5_ci(self, capsys):
         assert main(["run", "fig5", "--quiet"]) == 0
@@ -335,17 +336,17 @@ class TestTraceCommands:
         assert "not a trace file" in capsys.readouterr().err
 
     def test_trace_parser_requires_subcommand(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(UsageError):
             build_parser().parse_args(["trace"])
 
 
 class TestJournalCommands:
     def test_journal_parser_requires_subcommand(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(UsageError):
             build_parser().parse_args(["journal"])
 
     def test_journal_and_resume_are_mutually_exclusive(self, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(UsageError):
             build_parser().parse_args(
                 ["run", "fig1", "--journal", str(tmp_path / "j"),
                  "--resume", str(tmp_path / "j")]
@@ -430,9 +431,9 @@ class TestJournalCommands:
         assert main(["run", "fig5", "--quiet", "--resume", str(path)]) == 2
 
 
-#: Malformed invocations: (argv, stderr fragment, probed output that must
-#: stay unwritten).  ``{tmp}`` is the test's tmp_path.  Each one exits 2
-#: before any experiment work.
+#: Malformed invocations: (argv, stderr fragment, probed outputs that must
+#: not exist afterwards).  ``{tmp}`` is the test's tmp_path.  Each one
+#: exits 2 before any experiment work.
 MALFORMED = [
     pytest.param(["faults", "--nranks", "0", "--metrics-dir", "{tmp}/M"],
                  "argument --nranks: must be >= 1, got 0", "M",
@@ -458,6 +459,13 @@ MALFORMED = [
                  id="run-retries-negative"),
     pytest.param(["run", "fig1", "--grace", "-1", "--trace", "{tmp}/t.json"],
                  "grace must be >= 0", "t.json", id="run-grace-negative"),
+    pytest.param(["campaign", "run", "mixed-chaos", "--grace", "-1",
+                  "--out", "{tmp}/c.json"],
+                 "grace must be >= 0", "c.json", id="campaign-grace-negative"),
+    pytest.param(["campaign", "autopilot", "--budget", "0",
+                  "--out", "{tmp}/a.json"],
+                 "autopilot budget must be >= 1, got 0", "a.json",
+                 id="autopilot-budget-0"),
     pytest.param(["run", "fig1", "--task-timeout", "-1",
                   "--metrics-dir", "{tmp}/M"],
                  "task_timeout must be positive", "M",
@@ -486,6 +494,22 @@ MALFORMED = [
     pytest.param(["run", "fig1", "--guard-cadence", "0"],
                  "argument --guard-cadence: must be >= 1, got 0", None,
                  id="run-guard-cadence-0"),
+    pytest.param(["run", "fig1", "--faults", "bogus",
+                  "--journal", "{tmp}/J.jnl"],
+                 "bad fault spec 'bogus'", "J.jnl", id="run-faults-bogus"),
+    pytest.param(["run", "fig1", "--guard-out", "{tmp}/G.json",
+                  "--journal", "{tmp}/J.jnl"],
+                 "--guard-out needs an active guard", ("G.json", "J.jnl"),
+                 id="run-guard-out-without-guard"),
+    pytest.param(["run", "fig1", "--trace", "{tmp}/t.json",
+                  "--journal", "{tmp}/J.jnl",
+                  "--metrics-dir", "{tmp}/array.json/M"],
+                 "cannot open metric store", ("t.json", "J.jnl"),
+                 id="run-metrics-dir-under-a-file"),
+    pytest.param(["run", "fig1", "--watchdog", "0",
+                  "--metrics-dir", "{tmp}/a/b/M"],
+                 "heartbeat_timeout must be positive", "a",
+                 id="run-watchdog-0-nested-metrics-dir"),
     *(
         pytest.param(["trace", "summarize", f"{{tmp}}/{name}"],
                      "not a trace file", None, id=f"trace-{name}")
@@ -508,18 +532,34 @@ def test_malformed_invocation_is_a_usage_error(
     argv, message, output, tmp_path, capsys
 ):
     """Exit 2 with the flag's own one-line complaint: no traceback, no
-    'bad fault spec' for a flag that is not one, nothing written."""
+    'bad fault spec' for a flag that is not one, and no output the
+    command probed left behind."""
     for name, text in BAD_TRACES.items():
         (tmp_path / name).write_text(text)
+    outputs = [output] if isinstance(output, str) else output or []
+    assert not any((tmp_path / name).exists() for name in outputs)
     assert main([a.format(tmp=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
-    assert "Traceback" not in err and "bad fault spec" not in err
+    assert "Traceback" not in err
+    assert "bad fault spec" not in err or "bad fault spec" in message
     assert message in err
-    if output is not None:
-        path = tmp_path / output
-        written = path.is_dir() and any(path.iterdir()) or (
-            path.is_file() and path.stat().st_size > 0)
-        assert not written, f"{path} was written"
+    for name in outputs:
+        assert not (tmp_path / name).exists(), f"{name} was left behind"
+
+
+def test_usage_error_keeps_an_existing_journal(tmp_path, capsys):
+    """A probe removes only what it created: a journal that existed
+    before a usage error is neither truncated nor removed."""
+    journal = tmp_path / "run.jsonl"
+    assert main(["run", "lst1", "--quiet", "--journal", str(journal)]) == 0
+    before = journal.read_bytes()
+    empty = tmp_path / "empty.jsonl"
+    empty.touch()
+    for path in (journal, empty):
+        assert main(["run", "lst1", "--guard-out", str(tmp_path / "g.json"),
+                     "--journal", str(path)]) == 2
+    assert journal.read_bytes() == before and empty.exists()
+    assert not (tmp_path / "g.json").exists()
 
 
 def test_bounded_int_flags_accept_their_bound(capsys):

@@ -10,6 +10,8 @@ diagnostic RankFailedError instead of a hang.
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mpi import (
     Comm,
@@ -412,3 +414,27 @@ class TestDriftReport:
         assert entry["error"] is not None
         assert "timed out" in entry["error"]
         assert entry["failed_ranks"] == [0, 1]
+
+
+_FAULT_TOKENS = st.sampled_from(
+    ["off", "none", "lossy", "degraded", "straggler", "failstop",
+     "partition", "lossy:0.1", "failstop:2", "bogus", ""]
+) | st.builds(
+    "{}={}".format,
+    st.sampled_from(["loss_rate", "failed_ranks", "recv_timeout",
+                     "max_retransmits", "seed", "nope"]),
+    st.text(alphabet="0123456789.+-eEinfa", max_size=6),
+)
+
+
+@given(st.text(max_size=30)
+       | st.lists(_FAULT_TOKENS, max_size=4).map(",".join))
+@settings(max_examples=300, deadline=None)
+def test_parse_fault_spec_returns_a_plan_none_or_a_fault_spec_error(text):
+    """``--faults`` and ``--severities`` validate with it at parse time,
+    so any text must end in a plan, no plan, or a typed error."""
+    try:
+        plan = parse_fault_spec(text)
+    except FaultSpecError:
+        return
+    assert plan is None or isinstance(plan, FaultPlan)

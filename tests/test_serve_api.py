@@ -7,7 +7,10 @@ control loop un-ticked, so jobs stay queued and no workers spawn —
 fast and deterministic.  One end-to-end test (marked ``slow``) runs
 the full loop: submit over HTTP, daemon leases a worker, the result
 and metric digests come back over the API, and the ``repro serve``
-CLI subcommands drive the same daemon from a subprocess.
+CLI subcommands drive the same daemon from a subprocess.  A spec the
+command's parser rejects gets a 400 from ``POST /api/jobs`` and exit 2
+from ``repro serve submit``, and appends nothing to the job log; every
+spec the suite, CI and the benchmark submit is accepted as submitted.
 """
 
 import json
@@ -16,10 +19,13 @@ import subprocess
 import sys
 import threading
 import time
+import urllib.error
+import urllib.request
 from pathlib import Path
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.serve import client as sc
 from repro.serve.api import start_api
 from repro.serve.client import ServeClientError
@@ -192,6 +198,81 @@ class TestCliClient:
         out = _cli("serve", "drain", "--url", url)
         assert out.returncode == 0
         assert shutdown.is_set()
+
+
+def _post_job(url, kind, spec):
+    """``POST /api/jobs``: (HTTP status, response document)."""
+    request = urllib.request.Request(
+        url + "/api/jobs", method="POST",
+        data=json.dumps({"kind": kind, "spec": spec}).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=30) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+#: (kind, spec, the parser's complaint).
+BAD_SPECS = [
+    ("run", {"key": "nope"}, "unknown experiment 'nope'"),
+    ("run", {"jobs": "x"}, "argument --jobs: invalid int value: 'x'"),
+    ("run", {"scale": "huge"}, "argument --scale: invalid choice: 'huge'"),
+    ("run", {"faults": "bogus"}, "bad fault spec 'bogus'"),
+    ("run", {"grace": -1}, "grace must be >= 0"),
+    ("run", {"frobnicate": 1}, "unknown run job spec key(s)"),
+    ("run", {"trace": "t.json"}, "unknown run job spec key(s)"),
+    ("faults", {"nranks": -3}, "argument --nranks: must be >= 1, got -3"),
+    ("faults", {"severities": "nope"}, "bad fault spec 'nope'"),
+    ("faults", {"metrics_dir": "M"}, "unknown faults job spec key(s)"),
+    ("campaign", {"selector": "nope"}, "unknown scenario pack 'nope'"),
+    ("campaign", {"grace": -1}, "grace must be >= 0"),
+    ("campaign", {"out": "c.json"}, "unknown campaign job spec key(s)"),
+    ("autopilot", {"budget": "x"},
+     "argument --budget: invalid int value: 'x'"),
+    ("autopilot", {"budget": 0}, "autopilot budget must be >= 1, got 0"),
+    ("autopilot", {"freeze_dir": "D"}, "unknown autopilot job spec key(s)"),
+    ("dance", {}, "unknown job kind 'dance'"),
+]
+
+
+def test_bad_specs_are_rejected_at_submit(served, tmp_path, capsys):
+    daemon, url, _ = served
+    path = tmp_path / "spec.json"
+    for kind, spec, message in BAD_SPECS:
+        status, doc = _post_job(url, kind, spec)
+        assert status == 400 and message in doc["error"], (spec, doc)
+        if kind != "dance":  # the CLI's own choices reject this kind
+            path.write_text(json.dumps(spec))
+            assert cli_main(["serve", "submit", kind, "--spec", str(path),
+                             "--url", url]) == 2, spec
+            assert message in capsys.readouterr().err
+    assert daemon.store.load().records == 0
+
+
+#: Specs the suite, CI and the benchmark submit, plus ``jobs: 0`` (one
+#: worker per CPU, as on the CLI).
+GOOD_SPECS = [
+    ("run", {}),
+    ("run", {"jobs": 0}),
+    ("run", {"key": "lst1", "scale": "ci"}),
+    ("run", {"key": "fig2", "scale": "ci", "faults": "lossy", "seed": 3}),
+    ("run", {"key": "lst1", "_wedge_attempts": 1}),
+    ("run", {"key": "lst1", "seed": None}),
+    ("faults", {"nranks": 4, "repetitions": 1, "severities": "off,lossy"}),
+    ("campaign", {"selector": "mixed-chaos", "budget": 8}),
+    ("autopilot", {"budget": 3, "seed": 1, "pack": "mixed-chaos"}),
+]
+
+
+def test_good_specs_are_submitted_as_given(served):
+    daemon, url, _ = served
+    for kind, spec in GOOD_SPECS:
+        status, doc = _post_job(url, kind, spec)
+        assert status == 200, (spec, doc)
+        job = daemon.store.get(doc["job_id"])
+        assert (job.kind, job.spec) == (kind, spec)
 
 
 class TestStartValidation:
