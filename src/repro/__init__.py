@@ -34,15 +34,15 @@ Subpackages
 
 __version__ = "1.0.0"
 
-from . import blas, core, ftypes, ir, machine, mpi, shallowwaters  # noqa: F401
+from ._lazy import lazy_exports
 
-__all__ = [
-    "ftypes",
-    "ir",
-    "machine",
-    "blas",
-    "mpi",
-    "shallowwaters",
-    "core",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ftypes": "ftypes",
+    "ir": "ir",
+    "machine": "machine",
+    "blas": "blas",
+    "mpi": "mpi",
+    "shallowwaters": "shallowwaters",
+    "core": "core",
+})
+__all__.append("__version__")

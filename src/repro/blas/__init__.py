@@ -6,60 +6,35 @@
 * trampoline: libblastrampoline-style runtime backend switching
 """
 
-from .reference import (
-    asum,
-    axpby,
-    axpy,
-    copy,
-    dot,
-    iamax,
-    nrm2,
-    rot,
-    scal,
-    swap,
-)
-from .kernels import KERNELS, axpy_chunked, dot_chunked, kernel_traffic
-from .libraries import (
-    ALL_LIBRARIES,
-    ARMPL,
-    BLIS,
-    FUJITSU_BLAS,
-    JULIA_GENERIC,
-    OPENBLAS,
-    BLASLibrary,
-    UnsupportedRoutineError,
-    get_library,
-)
-from .trampoline import Trampoline, default_trampoline
-from .stream import STREAM_SCALAR, StreamBenchmark, StreamResult
+from .._lazy import lazy_exports
 
-__all__ = [
-    "axpy",
-    "axpby",
-    "scal",
-    "dot",
-    "nrm2",
-    "asum",
-    "iamax",
-    "copy",
-    "swap",
-    "rot",
-    "KERNELS",
-    "kernel_traffic",
-    "axpy_chunked",
-    "dot_chunked",
-    "BLASLibrary",
-    "UnsupportedRoutineError",
-    "JULIA_GENERIC",
-    "FUJITSU_BLAS",
-    "BLIS",
-    "OPENBLAS",
-    "ARMPL",
-    "ALL_LIBRARIES",
-    "get_library",
-    "Trampoline",
-    "default_trampoline",
-    "StreamBenchmark",
-    "StreamResult",
-    "STREAM_SCALAR",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "axpy": "reference",
+    "axpby": "reference",
+    "scal": "reference",
+    "dot": "reference",
+    "nrm2": "reference",
+    "asum": "reference",
+    "iamax": "reference",
+    "copy": "reference",
+    "swap": "reference",
+    "rot": "reference",
+    "KERNELS": "kernels",
+    "kernel_traffic": "kernels",
+    "axpy_chunked": "kernels",
+    "dot_chunked": "kernels",
+    "BLASLibrary": "libraries",
+    "UnsupportedRoutineError": "libraries",
+    "JULIA_GENERIC": "libraries",
+    "FUJITSU_BLAS": "libraries",
+    "BLIS": "libraries",
+    "OPENBLAS": "libraries",
+    "ARMPL": "libraries",
+    "ALL_LIBRARIES": "libraries",
+    "get_library": "libraries",
+    "Trampoline": "trampoline",
+    "default_trampoline": "trampoline",
+    "StreamBenchmark": "stream",
+    "StreamResult": "stream",
+    "STREAM_SCALAR": "stream",
+})

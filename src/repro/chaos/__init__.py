@@ -8,44 +8,25 @@ assert that recovery converges — same digests, no orphans, no fused
 records, quarantine instead of corruption.  See ``docs/CHAOS.md``.
 """
 
-from .crashpoints import (
-    CHAOS_SCHEMA_VERSION,
-    enumerate_points,
-    freeze_crashpoint,
-    replay_crashpoint,
-    run_crashpoint,
-    run_crashpoints,
-    select_points,
-)
-from .faultio import (
-    APPEND_MODES,
-    COUNTED_OPS,
-    WRITE_MODES,
-    CountingIO,
-    CrashpointIO,
-    InjectError,
-    IOPoint,
-    mode_for,
-)
-from .workloads import WORKLOADS, Workload, make_workload
+from .._lazy import lazy_exports
 
-__all__ = [
-    "APPEND_MODES",
-    "CHAOS_SCHEMA_VERSION",
-    "COUNTED_OPS",
-    "WORKLOADS",
-    "WRITE_MODES",
-    "CountingIO",
-    "CrashpointIO",
-    "InjectError",
-    "IOPoint",
-    "Workload",
-    "enumerate_points",
-    "freeze_crashpoint",
-    "make_workload",
-    "mode_for",
-    "replay_crashpoint",
-    "run_crashpoint",
-    "run_crashpoints",
-    "select_points",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "APPEND_MODES": "faultio",
+    "CHAOS_SCHEMA_VERSION": "crashpoints",
+    "COUNTED_OPS": "faultio",
+    "WORKLOADS": "workloads",
+    "WRITE_MODES": "faultio",
+    "CountingIO": "faultio",
+    "CrashpointIO": "faultio",
+    "InjectError": "faultio",
+    "IOPoint": "faultio",
+    "Workload": "workloads",
+    "enumerate_points": "crashpoints",
+    "freeze_crashpoint": "crashpoints",
+    "make_workload": "workloads",
+    "mode_for": "faultio",
+    "replay_crashpoint": "crashpoints",
+    "run_crashpoint": "crashpoints",
+    "run_crashpoints": "crashpoints",
+    "select_points": "crashpoints",
+})

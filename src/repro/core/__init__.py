@@ -6,91 +6,49 @@
 * report:    ASCII rendering of sweep results
 """
 
-from .typeflex import FormatContext, TypeFlexKernel, typeflexible
-from .benchmark import (
-    Series,
-    SweepResult,
-    WallTimer,
-    measure_gflops,
-    measure_seconds,
-)
-from .figures import (
-    Fig4Result,
-    fig1_axpy,
-    fig2_pingpong,
-    fig3_collectives,
-    fig4_turbulence,
-    fig5_speedup,
-    listing_muladd,
-)
-from .report import (format_si, render_fault_sweep, render_run_stats,
-                     render_sweep, render_table)
-from .calibration import CALIBRATIONS, Calibrated, validate_calibration
-from .experiments import (
-    REGISTRY,
-    SCALES,
-    Claim,
-    Experiment,
-    Outcome,
-    evaluate_outcome,
-    failed_outcome,
-    paper_artefacts,
-    run_experiment,
-    scale_params,
-)
-from .portability import (
-    C_VENDOR,
-    GENERATIONS,
-    JULIA_1_6,
-    JULIA_1_7,
-    JULIA_1_9,
-    STREAM_KERNELS,
-    CompilerGeneration,
-    performance_portability,
-    portability_table,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "FormatContext",
-    "TypeFlexKernel",
-    "typeflexible",
-    "Series",
-    "SweepResult",
-    "measure_seconds",
-    "measure_gflops",
-    "WallTimer",
-    "fig1_axpy",
-    "fig2_pingpong",
-    "fig3_collectives",
-    "fig4_turbulence",
-    "fig5_speedup",
-    "listing_muladd",
-    "Fig4Result",
-    "render_table",
-    "render_sweep",
-    "render_run_stats",
-    "render_fault_sweep",
-    "format_si",
-    "CompilerGeneration",
-    "JULIA_1_6",
-    "JULIA_1_7",
-    "JULIA_1_9",
-    "C_VENDOR",
-    "GENERATIONS",
-    "STREAM_KERNELS",
-    "portability_table",
-    "performance_portability",
-    "Calibrated",
-    "CALIBRATIONS",
-    "validate_calibration",
-    "Experiment",
-    "Claim",
-    "Outcome",
-    "REGISTRY",
-    "SCALES",
-    "scale_params",
-    "evaluate_outcome",
-    "failed_outcome",
-    "run_experiment",
-    "paper_artefacts",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "FormatContext": "typeflex",
+    "TypeFlexKernel": "typeflex",
+    "typeflexible": "typeflex",
+    "Series": "benchmark",
+    "SweepResult": "benchmark",
+    "measure_seconds": "benchmark",
+    "measure_gflops": "benchmark",
+    "WallTimer": "benchmark",
+    "fig1_axpy": "figures",
+    "fig2_pingpong": "figures",
+    "fig3_collectives": "figures",
+    "fig4_turbulence": "figures",
+    "fig5_speedup": "figures",
+    "listing_muladd": "figures",
+    "Fig4Result": "figures",
+    "render_table": "report",
+    "render_sweep": "report",
+    "render_run_stats": "report",
+    "render_fault_sweep": "report",
+    "format_si": "report",
+    "CompilerGeneration": "portability",
+    "JULIA_1_6": "portability",
+    "JULIA_1_7": "portability",
+    "JULIA_1_9": "portability",
+    "C_VENDOR": "portability",
+    "GENERATIONS": "portability",
+    "STREAM_KERNELS": "portability",
+    "portability_table": "portability",
+    "performance_portability": "portability",
+    "Calibrated": "calibration",
+    "CALIBRATIONS": "calibration",
+    "validate_calibration": "calibration",
+    "Experiment": "experiments",
+    "Claim": "experiments",
+    "Outcome": "experiments",
+    "REGISTRY": "experiments",
+    "SCALES": "experiments",
+    "scale_params": "experiments",
+    "evaluate_outcome": "experiments",
+    "failed_outcome": "experiments",
+    "run_experiment": "experiments",
+    "paper_artefacts": "experiments",
+})

@@ -22,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from . import figures
 from .report import render_sweep
 
 __all__ = [
     "Claim",
     "Experiment",
+    "FIG3_BENCHES",
     "Outcome",
     "REGISTRY",
     "SCALES",
@@ -120,21 +120,31 @@ SCALES: Dict[str, Dict[str, Dict[str, Any]]] = {
     "lst1": {"ci": {}, "paper": {}},
 }
 
-#: Serial generator for each experiment, taking the SCALES parameters.
-_GENERATORS: Dict[str, Callable[..., Any]] = {
-    "fig1": lambda sizes: figures.fig1_axpy(sizes=sizes),
-    "fig2": lambda sizes, repetitions: figures.fig2_pingpong(
-        sizes=sizes, repetitions=repetitions
-    ),
-    "fig3": lambda sizes, nranks, repetitions: figures.fig3_collectives(
-        sizes=sizes, nranks=nranks, repetitions=repetitions
-    ),
-    "fig4": lambda nx, ny, nsteps, scaling: figures.fig4_turbulence(
-        nx=nx, ny=ny, nsteps=nsteps, scaling=scaling
-    ),
-    "fig5": lambda nxs: figures.fig5_speedup(nxs=nxs),
-    "lst1": lambda: figures.listing_muladd(),
+#: The Fig. 3 collectives, in panel order; the task plan and the figure
+#: share it.
+FIG3_BENCHES: Tuple[str, ...] = ("Allreduce", "Gatherv", "Reduce")
+
+
+#: Serial generator in :mod:`repro.core.figures` for each experiment,
+#: called with the SCALES parameters.
+_GENERATORS: Dict[str, str] = {
+    "fig1": "fig1_axpy",
+    "fig2": "fig2_pingpong",
+    "fig3": "fig3_collectives",
+    "fig4": "fig4_turbulence",
+    "fig5": "fig5_speedup",
+    "lst1": "listing_muladd",
 }
+
+
+def _run_generator(key: str, scale: str) -> Any:
+    """Run one experiment's serial generator.  The figures are imported
+    here, on the first run: they pull in numpy and the simulators,
+    which listing experiments or serving them from the cache never
+    needs."""
+    from . import figures
+
+    return getattr(figures, _GENERATORS[key])(**SCALES[key][scale])
 
 
 def scale_params(key: str, scale: str) -> Dict[str, Any]:
@@ -156,7 +166,7 @@ def scale_params(key: str, scale: str) -> Dict[str, Any]:
 
 def _make_runners(key: str) -> Dict[str, Callable[[], Any]]:
     return {
-        scale: (lambda key=key, scale=scale: _GENERATORS[key](**SCALES[key][scale]))
+        scale: (lambda key=key, scale=scale: _run_generator(key, scale))
         for scale in SCALES[key]
     }
 

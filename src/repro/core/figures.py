@@ -47,6 +47,7 @@ from ..shallowwaters.model import ShallowWaterModel
 from ..shallowwaters.params import ShallowWaterParams
 from ..shallowwaters.perf import SWRuntimeModel, VARIANTS, speedup_sweep
 from .benchmark import Series, SweepResult
+from .experiments import FIG3_BENCHES
 
 __all__ = [
     "fig1_axpy",
@@ -194,8 +195,6 @@ def fig2_pingpong(
 # ---------------------------------------------------------------------------
 # Fig. 3 — collectives at scale
 # ---------------------------------------------------------------------------
-FIG3_BENCHES: Tuple[str, ...] = ("Allreduce", "Gatherv", "Reduce")
-
 _FIG3_FACTORIES = {
     "Allreduce": AllreduceBench,
     "Gatherv": GathervBench,

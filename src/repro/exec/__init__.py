@@ -24,61 +24,35 @@ Usage::
     print(engine.stats.render())
 """
 
-from .tasks import GUARD_INJECTIONS, Task, decompose, execute_task, merge_results
-from .backoff import backoff_delay, backoff_schedule
-from .scheduler import Scheduler, TaskResult, effective_jobs
-from .cache import (
-    DEFAULT_CACHE_DIR,
-    CacheStats,
-    ResultCache,
-    source_fingerprint,
-)
-from .journal import (
-    RESUMABLE_EXIT_CODE,
-    JournalError,
-    JournalState,
-    JournalWriter,
-    guard_summary,
-    journal_summary,
-    load_journal,
-    task_key,
-    verify_journal,
-)
-from .engine import (
-    Engine,
-    ExperimentStats,
-    RunStats,
-    TaskMetric,
-    run_experiment_cached,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "RESUMABLE_EXIT_CODE",
-    "JournalError",
-    "JournalState",
-    "JournalWriter",
-    "guard_summary",
-    "journal_summary",
-    "load_journal",
-    "task_key",
-    "verify_journal",
-    "GUARD_INJECTIONS",
-    "Task",
-    "decompose",
-    "execute_task",
-    "merge_results",
-    "Scheduler",
-    "TaskResult",
-    "backoff_delay",
-    "backoff_schedule",
-    "effective_jobs",
-    "CacheStats",
-    "ResultCache",
-    "source_fingerprint",
-    "DEFAULT_CACHE_DIR",
-    "Engine",
-    "ExperimentStats",
-    "RunStats",
-    "TaskMetric",
-    "run_experiment_cached",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "RESUMABLE_EXIT_CODE": "journal",
+    "JournalError": "journal",
+    "JournalState": "journal",
+    "JournalWriter": "journal",
+    "guard_summary": "journal",
+    "journal_summary": "journal",
+    "load_journal": "journal",
+    "task_key": "journal",
+    "verify_journal": "journal",
+    "GUARD_INJECTIONS": "tasks",
+    "Task": "tasks",
+    "decompose": "tasks",
+    "execute_task": "tasks",
+    "merge_results": "tasks",
+    "Scheduler": "scheduler",
+    "TaskResult": "scheduler",
+    "backoff_delay": "backoff",
+    "backoff_schedule": "backoff",
+    "effective_jobs": "scheduler",
+    "CacheStats": "cache",
+    "ResultCache": "cache",
+    "source_fingerprint": "cache",
+    "DEFAULT_CACHE_DIR": "cache",
+    "Engine": "engine",
+    "ExperimentStats": "engine",
+    "RunStats": "engine",
+    "TaskMetric": "engine",
+    "run_experiment_cached": "engine",
+})

@@ -97,6 +97,14 @@ class ExperimentStats:
     #: tasks drained by a graceful shutdown / watchdog — resumable,
     #: so the experiment has no outcome rather than a failed one.
     interrupted_tasks: int = 0
+    #: size of the experiment's task plan when no task ran (a cache
+    #: hit); None means ``tasks`` is the plan.
+    planned: Optional[int] = None
+
+    @property
+    def planned_tasks(self) -> int:
+        """Sweep points in the experiment's plan, run or cached."""
+        return len(self.tasks) if self.planned is None else self.planned
 
     def as_dict(self) -> Dict[str, Any]:
         doc = {
@@ -147,6 +155,12 @@ class RunStats:
     @property
     def interrupted_tasks(self) -> int:
         return sum(e.interrupted_tasks for e in self.experiments)
+
+    @property
+    def planned_tasks(self) -> int:
+        """Tasks in the run's plan: the same whether or not outcomes
+        came from the cache, so it stays a pure function of the run."""
+        return sum(e.planned_tasks for e in self.experiments)
 
     def _guarded_metrics(self) -> List[TaskMetric]:
         return [
@@ -240,9 +254,7 @@ class RunStats:
             "exec.experiments.failed",
             sum(1 for e in self.experiments if not e.passed),
         )
-        recorder.count(
-            "exec.tasks", sum(len(e.tasks) for e in self.experiments)
-        )
+        recorder.count("exec.tasks", self.planned_tasks)
         recorder.count("exec.tasks.failed", self.failed_tasks)
         for e in self.experiments:
             for t in e.tasks:
@@ -404,6 +416,7 @@ class Engine:
                         ExperimentStats(
                             key=key, scale=scale, cached=True,
                             passed=cached.passed, seconds=0.0,
+                            planned=len(decompose(key, scale)),
                         )
                     )
                 else:
@@ -420,6 +433,11 @@ class Engine:
                         ),
                     ))
 
+            if pending:
+                # The payloads merge through the figures, so import them
+                # before the pool forks: workers then inherit numpy and
+                # the simulators instead of each importing them again.
+                from ..core import figures  # noqa: F401
             # One scheduler submission for every pending sweep point; the
             # journalled runner restores, journals and streams results.
             header = {

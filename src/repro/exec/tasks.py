@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from ..core import figures
-from ..core.experiments import SCALES, scale_params
+from ..core.experiments import FIG3_BENCHES, SCALES, scale_params
 from ..guard.monitor import get_guard
 from ..guard.policy import REMEDIABLE_KINDS, escalate
 
@@ -111,15 +110,28 @@ class Task:
         return doc
 
 
+def _figure(name: str):
+    """Executor calling ``repro.core.figures.<name>``.  The figures
+    (and with them numpy and the simulators) are imported when a task
+    runs, not when the plan is made."""
+
+    def run(**params: Any) -> Any:
+        from ..core import figures
+
+        return getattr(figures, name)(**params)
+
+    return run
+
+
 #: kind -> callable executed with ``**task.params``.
 _EXECUTORS = {
-    "fig1_point": figures.fig1_axpy_point,
-    "fig2_point": figures.fig2_pingpong_point,
-    "fig3_point": figures.fig3_collectives_point,
-    "fig4_field": figures.fig4_field,
-    "fig4_ratio": figures.fig4_runtime_ratio,
-    "fig5_point": figures.fig5_speedup_point,
-    "lst1_listing": figures.listing_muladd,
+    "fig1_point": _figure("fig1_axpy_point"),
+    "fig2_point": _figure("fig2_pingpong_point"),
+    "fig3_point": _figure("fig3_collectives_point"),
+    "fig4_field": _figure("fig4_field"),
+    "fig4_ratio": _figure("fig4_runtime_ratio"),
+    "fig5_point": _figure("fig5_speedup_point"),
+    "lst1_listing": _figure("listing_muladd"),
 }
 
 _FIG1_FORMATS = ("Float16", "Float32", "Float64")
@@ -178,7 +190,7 @@ def decompose(
         for n in params["sizes"]:
             add("fig2_point", nbytes=n, repetitions=params["repetitions"])
     elif key == "fig3":
-        for bench in figures.FIG3_BENCHES:
+        for bench in FIG3_BENCHES:
             for n in params["sizes"]:
                 add(
                     "fig3_point",
@@ -274,6 +286,8 @@ def merge_results(key: str, scale: str, payloads: Sequence[Any]) -> Any:
     ``payloads`` must be in :func:`decompose` order (the scheduler
     guarantees deterministic ordering regardless of completion order).
     """
+    from ..core import figures
+
     params = scale_params(key, scale)
     if key == "fig1":
         sizes = params["sizes"]
@@ -288,7 +302,7 @@ def merge_results(key: str, scale: str, payloads: Sequence[Any]) -> Any:
         sizes = params["sizes"]
         points = {
             bench: list(payloads[i * len(sizes):(i + 1) * len(sizes)])
-            for i, bench in enumerate(figures.FIG3_BENCHES)
+            for i, bench in enumerate(FIG3_BENCHES)
         }
         return figures.assemble_fig3(sizes, params["nranks"], points)
     if key == "fig4":

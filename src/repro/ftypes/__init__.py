@@ -11,130 +11,67 @@ Public surface:
 * subnormals:   FTZ semantics + the A64FX subnormal penalty model
 """
 
-from .formats import (
-    BFLOAT16,
-    FLOAT16,
-    FLOAT32,
-    FLOAT64,
-    FLOAT8_E4M3,
-    FLOAT8_E5M2,
-    STANDARD_FORMATS,
-    TFLOAT32,
-    FloatFormat,
-    format_from_dtype,
-    lookup_format,
-)
-from .rounding import SoftwareFloatOps, quantize, quantize_scalar, ulp
-from .dispatch import (
-    ABSTRACT_FLOAT,
-    AmbiguityError,
-    BFLOAT16_KIND,
-    FLOAT16_KIND,
-    FLOAT32_KIND,
-    FLOAT64_KIND,
-    INTEGER,
-    MethodError,
-    NUMBER,
-    NumberKind,
-    REAL,
-    GenericFunction,
-    generic_function,
-    kind_of,
-    register_dtype_kind,
-)
-from .mathfuncs import cbrt, cos, exp, log, make_unary_generic, sin
-from .sherlog import (
-    ExponentHistogram,
-    Sherlog,
-    Sherlog32,
-    Sherlog64,
-    suggest_scaling,
-)
-from .compensated import (
-    CompensatedAccumulator,
-    fast_two_sum,
-    kahan_sum,
-    naive_sum,
-    neumaier_sum,
-    pairwise_sum,
-    two_sum,
-)
-from .bits import all_values, bit_pattern, decode, encode
-from .stochastic import StochasticFloatOps, sr_sum, stochastic_round
-from .subnormals import (
-    SubnormalPenaltyModel,
-    count_subnormals,
-    flush_to_zero,
-    subnormal_fraction,
-    subnormal_mask,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    # formats
-    "FloatFormat",
-    "FLOAT16",
-    "FLOAT32",
-    "FLOAT64",
-    "BFLOAT16",
-    "TFLOAT32",
-    "FLOAT8_E4M3",
-    "FLOAT8_E5M2",
-    "STANDARD_FORMATS",
-    "format_from_dtype",
-    "lookup_format",
-    # rounding
-    "quantize",
-    "quantize_scalar",
-    "ulp",
-    "SoftwareFloatOps",
-    # dispatch
-    "NumberKind",
-    "NUMBER",
-    "REAL",
-    "INTEGER",
-    "ABSTRACT_FLOAT",
-    "FLOAT64_KIND",
-    "FLOAT32_KIND",
-    "FLOAT16_KIND",
-    "BFLOAT16_KIND",
-    "GenericFunction",
-    "generic_function",
-    "kind_of",
-    "register_dtype_kind",
-    "MethodError",
-    "AmbiguityError",
-    # mathfuncs
-    "cbrt",
-    "exp",
-    "log",
-    "sin",
-    "cos",
-    "make_unary_generic",
-    # sherlog
-    "ExponentHistogram",
-    "Sherlog",
-    "Sherlog32",
-    "Sherlog64",
-    "suggest_scaling",
-    # compensated
-    "two_sum",
-    "fast_two_sum",
-    "kahan_sum",
-    "naive_sum",
-    "neumaier_sum",
-    "pairwise_sum",
-    "CompensatedAccumulator",
-    # subnormals
-    "stochastic_round",
-    "StochasticFloatOps",
-    "sr_sum",
-    "encode",
-    "decode",
-    "bit_pattern",
-    "all_values",
-    "subnormal_mask",
-    "count_subnormals",
-    "subnormal_fraction",
-    "flush_to_zero",
-    "SubnormalPenaltyModel",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "FloatFormat": "formats",
+    "FLOAT16": "formats",
+    "FLOAT32": "formats",
+    "FLOAT64": "formats",
+    "BFLOAT16": "formats",
+    "TFLOAT32": "formats",
+    "FLOAT8_E4M3": "formats",
+    "FLOAT8_E5M2": "formats",
+    "STANDARD_FORMATS": "formats",
+    "format_from_dtype": "formats",
+    "lookup_format": "formats",
+    "quantize": "rounding",
+    "quantize_scalar": "rounding",
+    "ulp": "rounding",
+    "SoftwareFloatOps": "rounding",
+    "NumberKind": "dispatch",
+    "NUMBER": "dispatch",
+    "REAL": "dispatch",
+    "INTEGER": "dispatch",
+    "ABSTRACT_FLOAT": "dispatch",
+    "FLOAT64_KIND": "dispatch",
+    "FLOAT32_KIND": "dispatch",
+    "FLOAT16_KIND": "dispatch",
+    "BFLOAT16_KIND": "dispatch",
+    "GenericFunction": "dispatch",
+    "generic_function": "dispatch",
+    "kind_of": "dispatch",
+    "register_dtype_kind": "dispatch",
+    "MethodError": "dispatch",
+    "AmbiguityError": "dispatch",
+    "cbrt": "mathfuncs",
+    "exp": "mathfuncs",
+    "log": "mathfuncs",
+    "sin": "mathfuncs",
+    "cos": "mathfuncs",
+    "make_unary_generic": "mathfuncs",
+    "ExponentHistogram": "sherlog",
+    "Sherlog": "sherlog",
+    "Sherlog32": "sherlog",
+    "Sherlog64": "sherlog",
+    "suggest_scaling": "sherlog",
+    "two_sum": "compensated",
+    "fast_two_sum": "compensated",
+    "kahan_sum": "compensated",
+    "naive_sum": "compensated",
+    "neumaier_sum": "compensated",
+    "pairwise_sum": "compensated",
+    "CompensatedAccumulator": "compensated",
+    "stochastic_round": "stochastic",
+    "StochasticFloatOps": "stochastic",
+    "sr_sum": "stochastic",
+    "encode": "bits",
+    "decode": "bits",
+    "bit_pattern": "bits",
+    "all_values": "bits",
+    "subnormal_mask": "subnormals",
+    "count_subnormals": "subnormals",
+    "subnormal_fraction": "subnormals",
+    "flush_to_zero": "subnormals",
+    "SubnormalPenaltyModel": "subnormals",
+})

@@ -22,50 +22,27 @@ instrumentation site is a single ``None`` check and all outputs are
 byte-identical to an unguarded build.
 """
 
-from .contracts import (
-    CONTRACT_KINDS,
-    Contract,
-    GuardEvent,
-    GuardViolation,
-    SEVERITIES,
-)
-from .monitor import (
-    GUARD_MODES,
-    GuardConfig,
-    GuardMonitor,
-    get_guard,
-    guarding,
-    parse_guard_mode,
-    set_guard,
-)
-from .policy import (
-    REMEDIABLE_KINDS,
-    REMEDIATION_ORDER,
-    RESCUE_SCALING,
-    escalate,
-    remediate_params,
-)
-from .sentinels import FieldHealth, probe, probe_value
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CONTRACT_KINDS",
-    "Contract",
-    "FieldHealth",
-    "GUARD_MODES",
-    "GuardConfig",
-    "GuardEvent",
-    "GuardMonitor",
-    "GuardViolation",
-    "REMEDIABLE_KINDS",
-    "REMEDIATION_ORDER",
-    "RESCUE_SCALING",
-    "SEVERITIES",
-    "escalate",
-    "get_guard",
-    "guarding",
-    "parse_guard_mode",
-    "probe",
-    "probe_value",
-    "remediate_params",
-    "set_guard",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "CONTRACT_KINDS": "contracts",
+    "Contract": "contracts",
+    "FieldHealth": "sentinels",
+    "GUARD_MODES": "monitor",
+    "GuardConfig": "monitor",
+    "GuardEvent": "contracts",
+    "GuardMonitor": "monitor",
+    "GuardViolation": "contracts",
+    "REMEDIABLE_KINDS": "policy",
+    "REMEDIATION_ORDER": "policy",
+    "RESCUE_SCALING": "policy",
+    "SEVERITIES": "contracts",
+    "escalate": "policy",
+    "get_guard": "monitor",
+    "guarding": "monitor",
+    "parse_guard_mode": "monitor",
+    "probe": "sentinels",
+    "probe_value": "sentinels",
+    "remediate_params": "policy",
+    "set_guard": "monitor",
+})

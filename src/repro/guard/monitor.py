@@ -27,10 +27,12 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
 from .contracts import Contract, GuardEvent, GuardViolation
-from .sentinels import FieldHealth
+
+if TYPE_CHECKING:
+    from .sentinels import FieldHealth
 
 __all__ = [
     "GUARD_MODES",

@@ -7,74 +7,45 @@ charges them against the machine model, and :mod:`printer` renders the
 LLVM-like listings of §IV-C.
 """
 
-from .types import DOUBLE, FLOAT, HALF, IRType, ScalarType, VectorType, wider
-from .nodes import (
-    BinOp,
-    Cast,
-    Const,
-    FMulAdd,
-    Function,
-    Instr,
-    Load,
-    Loop,
-    Param,
-    Reduce,
-    Ret,
-    Splat,
-    Store,
-    UnOp,
-    Value,
-    VScale,
-)
-from .builder import IRBuilder, build_axpy, build_dot, build_muladd
-from .passes import SoftFloatWideningPass, VectorizePass
-from .transforms import (
-    DeadCodeEliminationPass,
-    FuseMulAddPass,
-    VerificationError,
-    verify_function,
-)
-from .interp import ExecutionTrace, Interpreter
-from .cost import CostModel, FunctionCost
-from .printer import print_function
+from .._lazy import lazy_exports
 
-__all__ = [
-    "HALF",
-    "FLOAT",
-    "DOUBLE",
-    "ScalarType",
-    "VectorType",
-    "IRType",
-    "wider",
-    "Value",
-    "Param",
-    "Instr",
-    "BinOp",
-    "UnOp",
-    "FMulAdd",
-    "Cast",
-    "Load",
-    "Store",
-    "Const",
-    "VScale",
-    "Splat",
-    "Ret",
-    "Loop",
-    "Function",
-    "IRBuilder",
-    "build_muladd",
-    "build_axpy",
-    "build_dot",
-    "Reduce",
-    "SoftFloatWideningPass",
-    "VectorizePass",
-    "FuseMulAddPass",
-    "DeadCodeEliminationPass",
-    "verify_function",
-    "VerificationError",
-    "Interpreter",
-    "ExecutionTrace",
-    "CostModel",
-    "FunctionCost",
-    "print_function",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "HALF": "types",
+    "FLOAT": "types",
+    "DOUBLE": "types",
+    "ScalarType": "types",
+    "VectorType": "types",
+    "IRType": "types",
+    "wider": "types",
+    "Value": "nodes",
+    "Param": "nodes",
+    "Instr": "nodes",
+    "BinOp": "nodes",
+    "UnOp": "nodes",
+    "FMulAdd": "nodes",
+    "Cast": "nodes",
+    "Load": "nodes",
+    "Store": "nodes",
+    "Const": "nodes",
+    "VScale": "nodes",
+    "Splat": "nodes",
+    "Ret": "nodes",
+    "Loop": "nodes",
+    "Function": "nodes",
+    "IRBuilder": "builder",
+    "build_muladd": "builder",
+    "build_axpy": "builder",
+    "build_dot": "builder",
+    "Reduce": "nodes",
+    "SoftFloatWideningPass": "passes",
+    "VectorizePass": "passes",
+    "FuseMulAddPass": "transforms",
+    "DeadCodeEliminationPass": "transforms",
+    "verify_function": "transforms",
+    "VerificationError": "transforms",
+    "Interpreter": "interp",
+    "ExecutionTrace": "interp",
+    "CostModel": "cost",
+    "FunctionCost": "cost",
+    "print_function": "printer",
+})

@@ -9,42 +9,29 @@ Public surface:
 * kernelmodel: :class:`StreamKernelModel`, :class:`ImplementationProfile`
 """
 
-from .specs import A64FX, XEON_CASCADE_LAKE, CacheLevel, ChipSpec, get_chip
-from .vector import SVEVectorUnit, VectorExecutionStats
-from .memory import BandwidthPoint, MemoryHierarchy
-from .roofline import KernelTraffic, Roofline, RooflinePoint
-from .kernelmodel import ImplementationProfile, KernelTiming, StreamKernelModel
-from .multicore import MulticoreModel
-from .jit import (
-    CompilationModel,
-    JITSession,
-    MethodSpec,
-    SystemImage,
-    amortization_calls,
-    time_to_first_result,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ChipSpec",
-    "CacheLevel",
-    "A64FX",
-    "XEON_CASCADE_LAKE",
-    "get_chip",
-    "SVEVectorUnit",
-    "VectorExecutionStats",
-    "MemoryHierarchy",
-    "BandwidthPoint",
-    "Roofline",
-    "RooflinePoint",
-    "KernelTraffic",
-    "StreamKernelModel",
-    "ImplementationProfile",
-    "KernelTiming",
-    "MulticoreModel",
-    "MethodSpec",
-    "CompilationModel",
-    "JITSession",
-    "SystemImage",
-    "time_to_first_result",
-    "amortization_calls",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ChipSpec": "specs",
+    "CacheLevel": "specs",
+    "A64FX": "specs",
+    "XEON_CASCADE_LAKE": "specs",
+    "get_chip": "specs",
+    "SVEVectorUnit": "vector",
+    "VectorExecutionStats": "vector",
+    "MemoryHierarchy": "memory",
+    "BandwidthPoint": "memory",
+    "Roofline": "roofline",
+    "RooflinePoint": "roofline",
+    "KernelTraffic": "roofline",
+    "StreamKernelModel": "kernelmodel",
+    "ImplementationProfile": "kernelmodel",
+    "KernelTiming": "kernelmodel",
+    "MulticoreModel": "multicore",
+    "MethodSpec": "jit",
+    "CompilationModel": "jit",
+    "JITSession": "jit",
+    "SystemImage": "jit",
+    "time_to_first_result": "jit",
+    "amortization_calls": "jit",
+})

@@ -12,149 +12,75 @@
 * benchsuite:  IMB / MPIBenchmarks.jl-equivalent drivers
 """
 
-from .topology import TofuDTopology
-from .network import TofuDNetwork, WireTiming
-from .bindings import BindingProfile, IMB_C, MPI_JL, MPI_JL_CACHE_AVOIDING
-from .faults import (
-    FAULT_PRESETS,
-    FaultPlan,
-    active_plan,
-    fault_drift_report,
-    get_active_plan,
-    parse_fault_spec,
-    set_active_plan,
-)
-from .simulator import (
-    Compute,
-    DeadlockError,
-    Engine,
-    EngineStats,
-    RankFailedError,
-    Irecv,
-    Isend,
-    Now,
-    Recv,
-    Send,
-    SendRecv,
-    Wait,
-    Waitall,
-)
-from .comm import Comm, MPIWorld
-from .collectives import (
-    allgather_bruck,
-    alltoall_pairwise,
-    allreduce_auto,
-    allreduce_rabenseifner,
-    allreduce_recursive_doubling,
-    allreduce_ring,
-    barrier_dissemination,
-    bcast_binomial,
-    gatherv_linear,
-    reduce_binomial,
-    scatterv_linear,
-)
-from .reductions import (
-    BUILTIN_OPS,
-    LAND,
-    LOR,
-    MAX,
-    MIN,
-    PROD,
-    SUM,
-    CustomOperatorUnsupported,
-    OperatorSupport,
-    ReduceOp,
-    custom_op,
-    reduce_with_fallback,
-)
-from .jobscript import (
-    JobSpec,
-    collective_script,
-    parse_resources,
-    pingpong_script,
-)
-from .benchsuite import (
-    AllgatherBench,
-    AlltoallBench,
-    AllreduceBench,
-    BarrierBench,
-    BcastBench,
-    BenchResult,
-    GathervBench,
-    PingPing,
-    PingPong,
-    ReduceBench,
-    default_message_sizes,
-    run_comparison,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "TofuDTopology",
-    "TofuDNetwork",
-    "WireTiming",
-    "BindingProfile",
-    "IMB_C",
-    "MPI_JL",
-    "MPI_JL_CACHE_AVOIDING",
-    "Engine",
-    "EngineStats",
-    "DeadlockError",
-    "RankFailedError",
-    "FaultPlan",
-    "FAULT_PRESETS",
-    "parse_fault_spec",
-    "fault_drift_report",
-    "active_plan",
-    "get_active_plan",
-    "set_active_plan",
-    "Send",
-    "Recv",
-    "SendRecv",
-    "Isend",
-    "Irecv",
-    "Wait",
-    "Waitall",
-    "Compute",
-    "Now",
-    "Comm",
-    "MPIWorld",
-    "barrier_dissemination",
-    "bcast_binomial",
-    "reduce_binomial",
-    "allreduce_recursive_doubling",
-    "allreduce_ring",
-    "allreduce_rabenseifner",
-    "allreduce_auto",
-    "gatherv_linear",
-    "scatterv_linear",
-    "allgather_bruck",
-    "alltoall_pairwise",
-    "ReduceOp",
-    "SUM",
-    "PROD",
-    "MIN",
-    "MAX",
-    "LAND",
-    "LOR",
-    "BUILTIN_OPS",
-    "custom_op",
-    "CustomOperatorUnsupported",
-    "OperatorSupport",
-    "reduce_with_fallback",
-    "AllreduceBench",
-    "ReduceBench",
-    "GathervBench",
-    "BcastBench",
-    "AllgatherBench",
-    "AlltoallBench",
-    "BarrierBench",
-    "PingPing",
-    "PingPong",
-    "BenchResult",
-    "default_message_sizes",
-    "run_comparison",
-    "JobSpec",
-    "pingpong_script",
-    "collective_script",
-    "parse_resources",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "TofuDTopology": "topology",
+    "TofuDNetwork": "network",
+    "WireTiming": "network",
+    "BindingProfile": "bindings",
+    "IMB_C": "bindings",
+    "MPI_JL": "bindings",
+    "MPI_JL_CACHE_AVOIDING": "bindings",
+    "Engine": "simulator",
+    "EngineStats": "simulator",
+    "DeadlockError": "simulator",
+    "RankFailedError": "simulator",
+    "FaultPlan": "faults",
+    "FAULT_PRESETS": "faults",
+    "parse_fault_spec": "faults",
+    "fault_drift_report": "faults",
+    "active_plan": "faults",
+    "get_active_plan": "faults",
+    "set_active_plan": "faults",
+    "Send": "simulator",
+    "Recv": "simulator",
+    "SendRecv": "simulator",
+    "Isend": "simulator",
+    "Irecv": "simulator",
+    "Wait": "simulator",
+    "Waitall": "simulator",
+    "Compute": "simulator",
+    "Now": "simulator",
+    "Comm": "comm",
+    "MPIWorld": "comm",
+    "barrier_dissemination": "collectives",
+    "bcast_binomial": "collectives",
+    "reduce_binomial": "collectives",
+    "allreduce_recursive_doubling": "collectives",
+    "allreduce_ring": "collectives",
+    "allreduce_rabenseifner": "collectives",
+    "allreduce_auto": "collectives",
+    "gatherv_linear": "collectives",
+    "scatterv_linear": "collectives",
+    "allgather_bruck": "collectives",
+    "alltoall_pairwise": "collectives",
+    "ReduceOp": "reductions",
+    "SUM": "reductions",
+    "PROD": "reductions",
+    "MIN": "reductions",
+    "MAX": "reductions",
+    "LAND": "reductions",
+    "LOR": "reductions",
+    "BUILTIN_OPS": "reductions",
+    "custom_op": "reductions",
+    "CustomOperatorUnsupported": "reductions",
+    "OperatorSupport": "reductions",
+    "reduce_with_fallback": "reductions",
+    "AllreduceBench": "benchsuite",
+    "ReduceBench": "benchsuite",
+    "GathervBench": "benchsuite",
+    "BcastBench": "benchsuite",
+    "AllgatherBench": "benchsuite",
+    "AlltoallBench": "benchsuite",
+    "BarrierBench": "benchsuite",
+    "PingPing": "benchsuite",
+    "PingPong": "benchsuite",
+    "BenchResult": "benchsuite",
+    "default_message_sizes": "benchsuite",
+    "run_comparison": "benchsuite",
+    "JobSpec": "jobscript",
+    "pingpong_script": "jobscript",
+    "collective_script": "jobscript",
+    "parse_resources": "jobscript",
+})

@@ -30,64 +30,33 @@ Usage::
     write_trace(rec, "out.json")          # open in chrome://tracing
 """
 
-from .collector import (
-    DEFAULT_TOLERANCE,
-    SCHEMA_VERSION,
-    MetricsStore,
-    bench_trend,
-    collect_autopilot,
-    collect_bench,
-    collect_campaign,
-    collect_faults,
-    collect_run,
-    document_digest,
-    strip_volatile,
-)
-from .trace import (
-    Span,
-    TraceRecorder,
-    get_recorder,
-    recording,
-    set_recorder,
-    trace_span,
-    virtual_event,
-)
-from .export import (
-    VIRTUAL_PID,
-    WALL_PID,
-    chrome_trace,
-    jsonl_lines,
-    load_trace,
-    summarize_trace,
-    virtual_track,
-    write_trace,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_TOLERANCE",
-    "SCHEMA_VERSION",
-    "MetricsStore",
-    "bench_trend",
-    "collect_autopilot",
-    "collect_bench",
-    "collect_campaign",
-    "collect_faults",
-    "collect_run",
-    "document_digest",
-    "strip_volatile",
-    "Span",
-    "TraceRecorder",
-    "get_recorder",
-    "set_recorder",
-    "recording",
-    "trace_span",
-    "virtual_event",
-    "WALL_PID",
-    "VIRTUAL_PID",
-    "chrome_trace",
-    "jsonl_lines",
-    "virtual_track",
-    "write_trace",
-    "load_trace",
-    "summarize_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "DEFAULT_TOLERANCE": "collector",
+    "SCHEMA_VERSION": "collector",
+    "MetricsStore": "collector",
+    "bench_trend": "collector",
+    "collect_autopilot": "collector",
+    "collect_bench": "collector",
+    "collect_campaign": "collector",
+    "collect_faults": "collector",
+    "collect_run": "collector",
+    "document_digest": "collector",
+    "strip_volatile": "collector",
+    "Span": "trace",
+    "TraceRecorder": "trace",
+    "get_recorder": "trace",
+    "set_recorder": "trace",
+    "recording": "trace",
+    "trace_span": "trace",
+    "virtual_event": "trace",
+    "WALL_PID": "export",
+    "VIRTUAL_PID": "export",
+    "chrome_trace": "export",
+    "jsonl_lines": "export",
+    "virtual_track": "export",
+    "write_trace": "export",
+    "load_trace": "export",
+    "summarize_trace": "export",
+})

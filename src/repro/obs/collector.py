@@ -248,7 +248,9 @@ def collect_run(
     :class:`~repro.core.experiments.Outcome` (claims land as exact
     metrics).  Worker count, wall-clock, cache and resume counters go
     to the volatile envelope — everything else is a pure function of
-    (experiments, scale, fault plan, guard settings).
+    (experiments, scale, fault plan, guard settings).  ``exec.tasks``
+    therefore counts each experiment's planned tasks, whether they ran
+    or its outcome came from the cache.
     """
     outcomes = outcomes or {}
     experiments = list(stats.experiments)
@@ -274,9 +276,7 @@ def collect_run(
         "exec.experiments.failed": metric(
             sum(1 for e in experiments if not e.passed), "exact"
         ),
-        "exec.tasks": metric(
-            sum(len(e.tasks) for e in experiments), "exact"
-        ),
+        "exec.tasks": metric(stats.planned_tasks, "exact"),
         "exec.tasks.failed": metric(stats.failed_tasks, "exact"),
     }
     claims_checked = claims_failed = 0

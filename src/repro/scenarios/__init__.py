@@ -23,28 +23,20 @@ scoreboards and frozen digests are byte-stable across repeated runs,
 ``--jobs`` values, and ``--resume``.
 """
 
-from .spec import (
-    ScenarioError,
-    ScenarioSpec,
-    load_scenario_file,
-    parse_scenario_doc,
-    scenario,
-)
-from .library import PACKS, ScenarioPack, get_pack, list_packs
-from .score import figure_doc, payload_drift, run_scenario, score_scenario
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ScenarioError",
-    "ScenarioSpec",
-    "scenario",
-    "load_scenario_file",
-    "parse_scenario_doc",
-    "PACKS",
-    "ScenarioPack",
-    "get_pack",
-    "list_packs",
-    "run_scenario",
-    "figure_doc",
-    "payload_drift",
-    "score_scenario",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ScenarioError": "spec",
+    "ScenarioSpec": "spec",
+    "scenario": "spec",
+    "load_scenario_file": "spec",
+    "parse_scenario_doc": "spec",
+    "PACKS": "library",
+    "ScenarioPack": "library",
+    "get_pack": "library",
+    "list_packs": "library",
+    "run_scenario": "score",
+    "figure_doc": "score",
+    "payload_drift": "score",
+    "score_scenario": "score",
+})

@@ -26,21 +26,14 @@ Layers:
   submit|status|jobs|drain`` commands use.
 """
 
-from .store import (
-    JOB_TERMINAL_STATUSES,
-    JobRecord,
-    JobStore,
-    ServeState,
-    ServeStoreError,
-)
-from .daemon import DaemonConfig, ServeDaemon
+from .._lazy import lazy_exports
 
-__all__ = [
-    "JOB_TERMINAL_STATUSES",
-    "JobRecord",
-    "JobStore",
-    "ServeState",
-    "ServeStoreError",
-    "DaemonConfig",
-    "ServeDaemon",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "JOB_TERMINAL_STATUSES": "store",
+    "JobRecord": "store",
+    "JobStore": "store",
+    "ServeState": "store",
+    "ServeStoreError": "store",
+    "DaemonConfig": "daemon",
+    "ServeDaemon": "daemon",
+})

@@ -68,11 +68,20 @@ from .store import JobStore
 
 __all__ = ["execute_job", "finalize_job", "main", "template_main"]
 
-#: Modules the template imports before its first fork: the CLI, whose
-#: parser every job's spec goes through (and with it the ``run`` path),
-#: and the collector.  Other job kinds import lazily inside the worker,
-#: so the template stays no larger than a cold worker.
-TEMPLATE_PRELOAD = ("repro.cli", "repro.obs.collector")
+#: Modules the template imports before its first fork, so no forked
+#: job imports them itself: the CLI, whose parser every job's spec goes
+#: through, the collector, and the ``run`` path — the figures (numpy and
+#: the simulators), the task executors and scenario scoring.  Package
+#: exports are lazy, so importing the CLI alone loads none of these.
+#: Other job kinds import the rest inside the worker, so the template
+#: stays no larger than a cold ``run`` worker.
+TEMPLATE_PRELOAD = (
+    "repro.cli",
+    "repro.obs.collector",
+    "repro.core.figures",
+    "repro.exec.tasks",
+    "repro.scenarios.score",
+)
 
 #: Default seconds between worker heartbeats into the job log.
 DEFAULT_HEARTBEAT_S = 1.0

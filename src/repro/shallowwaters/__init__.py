@@ -10,65 +10,44 @@
 * perf:        the A64FX runtime model behind Fig. 5
 """
 
-from .params import ShallowWaterParams, StepCoefficients
-from .operators import CHANNEL, PERIODIC, ChannelOps, Operators, PeriodicOps
-from .rhs import State, tendencies
-from .forcing import balanced_turbulence, gaussian_vortex
-from .integration import RK4Integrator
-from .model import ShallowWaterModel, SimulationResult
-from .diagnostics import (
-    enstrophy,
-    field_stats,
-    kinetic_energy,
-    normalized_rmse,
-    pattern_correlation,
-    potential_energy,
-    total_energy,
-    unscale,
-    vorticity,
-)
-from .perf import SWRuntimeModel, VARIANTS, speedup_sweep
-from .tracer import TracerAdvection, upwind_flux_divergence
-from .distributed import HALO, DistributedResult, DistributedShallowWater
-from .spectra import isotropic_ke_spectrum, spectral_slope, spectrum_overlap
-from .output import load_snapshot, restart_state, save_snapshot
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ShallowWaterParams",
-    "StepCoefficients",
-    "Operators",
-    "PeriodicOps",
-    "ChannelOps",
-    "PERIODIC",
-    "CHANNEL",
-    "State",
-    "tendencies",
-    "balanced_turbulence",
-    "gaussian_vortex",
-    "RK4Integrator",
-    "ShallowWaterModel",
-    "SimulationResult",
-    "unscale",
-    "vorticity",
-    "kinetic_energy",
-    "potential_energy",
-    "total_energy",
-    "enstrophy",
-    "pattern_correlation",
-    "normalized_rmse",
-    "field_stats",
-    "SWRuntimeModel",
-    "VARIANTS",
-    "speedup_sweep",
-    "TracerAdvection",
-    "upwind_flux_divergence",
-    "DistributedShallowWater",
-    "DistributedResult",
-    "HALO",
-    "isotropic_ke_spectrum",
-    "spectral_slope",
-    "spectrum_overlap",
-    "save_snapshot",
-    "load_snapshot",
-    "restart_state",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ShallowWaterParams": "params",
+    "StepCoefficients": "params",
+    "Operators": "operators",
+    "PeriodicOps": "operators",
+    "ChannelOps": "operators",
+    "PERIODIC": "operators",
+    "CHANNEL": "operators",
+    "State": "rhs",
+    "tendencies": "rhs",
+    "balanced_turbulence": "forcing",
+    "gaussian_vortex": "forcing",
+    "RK4Integrator": "integration",
+    "ShallowWaterModel": "model",
+    "SimulationResult": "model",
+    "unscale": "diagnostics",
+    "vorticity": "diagnostics",
+    "kinetic_energy": "diagnostics",
+    "potential_energy": "diagnostics",
+    "total_energy": "diagnostics",
+    "enstrophy": "diagnostics",
+    "pattern_correlation": "diagnostics",
+    "normalized_rmse": "diagnostics",
+    "field_stats": "diagnostics",
+    "SWRuntimeModel": "perf",
+    "VARIANTS": "perf",
+    "speedup_sweep": "perf",
+    "TracerAdvection": "tracer",
+    "upwind_flux_divergence": "tracer",
+    "DistributedShallowWater": "distributed",
+    "DistributedResult": "distributed",
+    "HALO": "distributed",
+    "isotropic_ke_spectrum": "spectra",
+    "spectral_slope": "spectra",
+    "spectrum_overlap": "spectra",
+    "save_snapshot": "output",
+    "load_snapshot": "output",
+    "restart_state": "output",
+})
