@@ -7,6 +7,7 @@
                (the reference semantics)
 * batched:     :class:`~repro.mpi.batched.BatchedEngine` — the event
                core every :class:`MPIWorld` runs
+* schedules:   compiled round tables of payload-free collectives
 * comm:        :class:`MPIWorld` / :class:`Comm` — mpi4py-style surface
 * collectives: real message-flow algorithms (allreduce/reduce/gatherv/...)
 * benchsuite:  IMB / MPIBenchmarks.jl-equivalent drivers
@@ -42,6 +43,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "Waitall": "simulator",
     "Compute": "simulator",
     "Now": "simulator",
+    "Collective": "simulator",
     "Comm": "comm",
     "MPIWorld": "comm",
     "barrier_dissemination": "collectives",

@@ -3,7 +3,7 @@
 :class:`BatchedEngine` re-implements the hot paths of
 :class:`~repro.mpi.simulator.Engine` around flat *tuple-coded* events
 and numpy-batched rank advancement, while inheriting the object core's
-semantics everywhere else.  Three layers, each exactly value-preserving:
+semantics everywhere else.  Four layers, each exactly value-preserving:
 
 1. **Timing tables.**  ``wire_time`` (topology hops + protocol choice)
    and ``endpoint_time`` (binding software costs, including the
@@ -40,6 +40,13 @@ semantics everywhere else.  Three layers, each exactly value-preserving:
    recv timeout — so observability hooks always see the object core's
    exact event stream.
 
+4. **Compiled collectives.**  A wave in which every active rank yields
+   one equal :class:`~repro.mpi.simulator.Collective` is evaluated from
+   its round table (:mod:`repro.mpi.schedules`) as float64 columns and
+   committed up to the first member that leaves to run code touching
+   another rank; any other Collective is expanded into its generator,
+   op by op, exactly as the object core runs it.
+
 The resume-before-dispatch move inside a wave is sound because resuming
 a rank generator has no engine-visible side effects: the value passed
 in was fixed when its completion was committed, and program code only
@@ -49,12 +56,14 @@ computes and yields the next op.
 from __future__ import annotations
 
 import heapq
+from types import SimpleNamespace
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .network import TofuDNetwork
 from .simulator import (
+    Collective,
     Compute,
     Engine,
     Mark,
@@ -356,7 +365,15 @@ class BatchedEngine(Engine):
             wave = sorted(heap)
             del heap[:]
             drained = []
-        ops: List[Any] = []
+        resume = self._resume
+        ops = [resume(ev[3], ev[4], False) for ev in wave]
+        if Collective in {op.__class__ for op in ops}:
+            if not drained and self._commit_collective(wave, ops):
+                return True
+            for i, op in enumerate(ops):
+                if op.__class__ is Collective:
+                    self._enter(wave[i][3], op)
+                    ops[i] = resume(wave[i][3], None)
         sr: List[int] = []
         batchable = True
         # Members from ``cut`` on dispatch, in the object core, only after
@@ -366,17 +383,8 @@ class BatchedEngine(Engine):
         due = float("inf")
         cpu = self._cpu
         for i, ev in enumerate(wave):
-            st = states[ev[3]]
-            try:
-                op = st.gen.send(ev[4])
-            except StopIteration as stop:
-                st.done = True
-                st.result = stop.value
-                self._active -= 1
-                ops.append(None)
-                continue
-            ops.append(op)
-            if i >= cut:
+            op = ops[i]
+            if op is None or i >= cut:
                 continue
             if ev[0] > due:
                 cut = i
@@ -424,6 +432,324 @@ class BatchedEngine(Engine):
         self._drain_scalar(wave, ops, drained)
         return True
 
+    def _commit_collective(self, wave: List[tuple], ops: List[Any]) -> bool:
+        """Commit a wave in which every active rank yields one equal
+        :class:`Collective`, evaluating its round table as columns.
+
+        The wave holds every pending event (no deliveries, mailboxed
+        messages or posted irecvs anywhere), so until the first member
+        leaves the collective the object core runs nothing but the
+        collective's own events, which
+        :func:`~repro.mpi.schedules.evaluate` evaluates and orders.  If
+        every message is sent before the first member leaves, every
+        member's exit time is final whatever runs next, so each rank's
+        program is resumed ahead through Now / Mark / Compute to its
+        next op.  When all of them reach one equal Collective again
+        after the same local ops, the tables are chained and evaluated
+        as one, and so on.  :meth:`_apply` commits the result; ops
+        resumed ahead are replayed at their own events.  Returns False
+        with no state changed when the first table cannot be proven
+        exact (the caller then expands the op).
+        """
+        op = ops[0]
+        n = self.nranks
+        if (
+            len(wave) < _MIN_VECTOR_WAVE
+            or len(wave) != self._active
+            or self._mb_count
+            or self._n_posted
+            or not all(o == op for o in ops)
+        ):
+            return False
+        from . import schedules as sc
+
+        sched = sc.schedule_for(op, n)
+        if sched is None:
+            return False
+        entry = [st.time for st in self._states]
+        order = np.empty(n, dtype=np.int64)
+        order[[ev[3] for ev in wave]] = np.arange(len(wave))
+        plan = sc.evaluate(sched, entry, order, self._columns,
+                           self._ingress_free)
+        if plan is None:
+            return False
+        parts = [sched]
+        prefixes: List[List[Any]] = []
+        ahead = None
+        while self._settled(plan):
+            exits = plan.t[plan.sched.exits].tolist()
+            ahead = [self._look_ahead(r, exits[r]) for r in range(n)]
+            prefix, nxt = ahead[0][:2]
+            last, plan = plan.sched, None  # rebuilt if no chain holds
+            if nxt.__class__ is not Collective or any(
+                a[1] != nxt or a[0] != prefix for a in ahead
+            ):
+                break
+            seg = sc.schedule_for(nxt, n)
+            if seg is None:
+                break
+            try:
+                chained = sc.Schedule.chain(parts + [seg], prefixes + [prefix])
+            except ValueError:
+                break
+            plan = sc.evaluate(chained, entry, order, self._columns,
+                               self._ingress_free)
+            if plan is None:
+                break
+            parts.append(seg)
+            prefixes.append(prefix)
+            ahead = None
+        if plan is None:
+            plan = sc.evaluate(last, entry, order, self._columns,
+                               self._ingress_free)
+        self._apply(plan, wave, ahead)
+        return True
+
+    def _settled(self, plan: SimpleNamespace) -> bool:
+        """Whether every exit time of ``plan`` is final whatever the
+        ranks do next: all its messages are sent before the first exit,
+        and none landing after it could be overtaken by a later message
+        from the same sender (which lands at least a wire latency after
+        that sender leaves)."""
+        s = plan.sched
+        leave = plan.t[s.exits].min()
+        if not (plan.t[s.m_ev] < leave).all():
+            return False
+        late = np.flatnonzero(plan.arr >= leave)
+        if not len(late):
+            return True
+        if self._lat_floor is None:
+            return False
+        floor = min(self._lat_floor[0], self._lat_floor[1])
+        return bool(
+            (plan.arr[late] < plan.t[s.exits[s.m_src[late]]] + floor).all()
+        )
+
+    def _look_ahead(self, rank: int, t: float) -> tuple:
+        """Resume a rank that leaves a collective at ``t`` through its
+        local ops: ``(local ops, next op or None, result when done)``."""
+        seen: List[Any] = []
+        value = None
+        while True:
+            try:
+                op = self._next(rank, value, expand=False)
+            except StopIteration as stop:
+                return seen, None, stop.value
+            cls = op.__class__
+            if cls is Now:
+                value = t
+            elif cls is Mark or cls is Compute and op.seconds >= 0:
+                if cls is Compute:
+                    t = t + op.seconds
+                value = None
+            else:
+                return seen, op, None
+            seen.append(op)
+
+    def _apply(self, plan: SimpleNamespace, wave: List[tuple],
+               ahead: Optional[List[tuple]]) -> None:
+        """Commit what ``plan`` pops before the first member leaves to
+        run code that could touch another rank (see
+        :meth:`_commit_collective`); ``ahead`` holds each rank's ops
+        resumed ahead, if any.
+
+        Without ``ahead``, members are resumed ahead in the order they
+        leave for as long as each one only runs local ops and returns:
+        such a member touches nothing, so the next one's exit time is
+        still final.  (By time is enough: a member's exit depends only
+        on sends made strictly earlier, as every wire takes time.)
+        Members that return are committed as finished; the cut is the
+        first exit, in pop order, of a member that does not, and with
+        none there is nothing left to order.
+        """
+        from . import schedules as sc
+
+        sched = plan.sched
+        t, arr, sdone, creator, idx = (
+            plan.t, plan.arr, plan.sdone, plan.creator, plan.idx,
+        )
+        rank = plan.rank
+        exits = sched.exits
+        if rank is None and self._lat_floor is None:
+            rank = sc.pop_order(np.concatenate((t, arr)), creator, idx)
+        if ahead is None:
+            ahead = [None] * self.nranks
+            by = t[exits] if rank is None else rank[exits]
+            for r in np.argsort(by, kind="stable").tolist():
+                ahead[r] = self._look_ahead(r, float(t[exits[r]]))
+                if ahead[r][1] is not None:
+                    break
+        stay = [r for r, a in enumerate(ahead) if a is None or a[1] is not None]
+        if not stay:
+            done = np.ones(sched.n_ev + sched.n_msg, dtype=bool)
+        else:
+            if rank is None:
+                rank = sc.pop_order(np.concatenate((t, arr)), creator, idx)
+            done = rank < rank[exits[stay]].min()
+        ser, rdzv, shm, hops = plan.cols
+        states = self._states
+        n_ev = sched.n_ev
+        first, inm, out, m_ev, m_dst = (
+            sched.first, sched.inm, sched.out, sched.m_ev, sched.m_dst,
+        )
+        ev_done = done[:n_ev]
+        msg_done = done[n_ev:]
+        sent = ev_done[m_ev]
+
+        n_sent = int(sent.sum())
+        s = self.stats
+        if n_sent:
+            s.messages += n_sent
+            s.bytes_sent += int(sched.nbytes()[sent].sum())
+            n_shm = int((shm & sent).sum())
+            n_rdzv = int((rdzv & sent).sum())
+            s.shm_messages += n_shm
+            s.rendezvous_messages += n_rdzv
+            s.eager_messages += n_sent - n_shm - n_rdzv
+            s.max_hops = max(s.max_hops, int(hops[sent].max()))
+            sends = s.sends_by_rank
+            per_rank = np.bincount(sched.m_src[sent], minlength=self.nranks)
+            for r in np.flatnonzero(per_rank).tolist():
+                sends[r] = sends.get(r, 0) + int(per_rank[r])
+            link = plan.ing[sent[plan.ing]]
+            if len(link):
+                d = m_dst[link]
+                last = np.r_[d[1:] != d[:-1], True]
+                ingress_free = self._ingress_free
+                for dst, a in zip(d[last].tolist(), arr[link[last]].tolist()):
+                    ingress_free[dst] = a
+                busy = np.array(self._ingress_busy)
+                np.add.at(busy, d, ser[link])
+                self._ingress_busy[:] = busy.tolist()
+
+        # Events created but not yet popped go on the heap in creation
+        # order; an entry that has not popped keeps its own key.
+        nxt = first + np.add.reduceat(ev_done.astype(np.int32), first)
+        left = nxt > exits  # members that have returned
+        nxt[left] = exits[left]
+        made = np.where(left, -1, creator[nxt])
+        ready = np.where(made >= 0, done[np.maximum(made, 0)], True)
+        flying = np.flatnonzero(~msg_done & sent)
+        new = np.concatenate((nxt[(made >= 0) & ready], n_ev + flying))
+        if len(new):
+            new = new[np.lexsort((idx[new], rank[creator[new]]))]
+        heap = self._events
+        seq = self._seq
+
+        def message(m: int) -> _Message:
+            return _Message(src=int(sched.m_src[m]), tag=int(sched.m_tag[m]),
+                            nbytes=sched.msg_size(m), payload=None,
+                            arrival=float(arr[m]), pipelined=bool(rdzv[m]))
+
+        for e in new.tolist():
+            if e < n_ev:
+                heap.append((float(t[e]), next(seq), _ADV,
+                             int(sched.rank_of(e)), None))
+            else:
+                m = e - n_ev
+                heap.append((float(arr[m]), next(seq), _DELIVER,
+                             int(m_dst[m]), message(m)))
+        self._n_deliver += len(flying)
+        for ev in wave:
+            r = ev[3]
+            if nxt[r] == first[r] and not left[r]:
+                heap.append((ev[0], ev[1], _ADV, r, None))
+        heapq.heapify(heap)
+        # Messages that landed before their receive was posted.
+        for m in np.flatnonzero(msg_done & ~done[sched.m_rcv]).tolist():
+            self._mb_count += 1
+            msg = message(m)
+            self._mailbox[int(m_dst[m])].setdefault(
+                (msg.src, msg.tag), []
+            ).append(msg)
+        # Each rank keeps what it has not dispatched yet: the rest of the
+        # table, then any ops resumed ahead, as a replay over the program.
+        for r, (e, ok, gone) in enumerate(
+            zip(nxt.tolist(), ready.tolist(), left.tolist())
+        ):
+            st = states[r]
+            if gone:
+                seen, _, result = ahead[r]
+                st.time = float(t[e]) + sum(
+                    op.seconds for op in seen if op.__class__ is Compute
+                )
+                st.done = True
+                st.result = result
+                self._active -= 1
+                continue
+            if ok:
+                st.time = float(t[e])
+            else:
+                p = e - 1
+                m = int(inm[p])
+                st.waiting = (int(sched.m_src[m]), int(sched.m_tag[m]))
+                st.time = float(t[p])
+                st.recv_floor = (
+                    max(float(sdone[out[p]]), st.time)
+                    if sched.kind[p] == sc.SENDRECV else st.time
+                )
+            j = e - int(first[r])
+            if ahead[r] is None:
+                if e < exits[r]:
+                    st.outer.append(st.gen)
+                    st.gen = sched.replay(r, j)
+                continue
+            seen, op, result = ahead[r]
+            if op is None:  # the program has returned
+                st.gen = sched.replay(r, j, seen, result)
+            else:
+                st.outer.append(st.gen)
+                st.gen = sched.replay(r, j, seen + [op])
+
+    def _columns(self, srcs: np.ndarray, dests: np.ndarray, nb) -> tuple:
+        """``(lat, ser, rdzv, shm, hops, ep_send, ep_recv)`` columns of
+        messages of ``nb`` bytes (one size, or one per message).  For
+        one size on the stock network model the wire and endpoint
+        formulas run as columns, in the scalar chain's order of float
+        operations (so the floats are identical); otherwise they come
+        from the cached rows."""
+        net = self.network
+        hm = self._hops_mat
+        if not len(srcs):
+            f, b = np.zeros(0), np.zeros(0, dtype=bool)
+            return f, f, b, b, np.zeros(0, dtype=np.int64), f, f
+        sizes = np.broadcast_to(nb, srcs.shape)
+        nb = int(sizes[0])
+        if (hm is None or type(net) is not TofuDNetwork
+                or net.faults is not None or (sizes != nb).any()):
+            rows = [self._row(a, b, c) for a, b, c in
+                    zip(srcs.tolist(), dests.tolist(), sizes.tolist())]
+            return tuple(np.array([rw[k] for rw in rows]) for k in range(7))
+        ns = srcs // self._rpn
+        nd = dests // self._rpn
+        shm = ns == nd
+        hops = np.where(shm, 0, hm[ns, nd])
+        rdzv_b = nb > net.eager_threshold
+        lat = net.base_latency + hops * float(net.per_hop_latency)
+        if rdzv_b:
+            lat = lat + net.rendezvous_overhead
+        lat = np.where(shm, net.shm_latency, lat)
+        ser = np.where(shm, nb / net.shm_bandwidth, nb / net.link_bandwidth)
+        # shm messages never pipeline, mirroring _row's protocol test.
+        rdzv = ~shm if rdzv_b else np.zeros(len(srcs), dtype=bool)
+        return (lat, ser, rdzv, shm, hops,
+                self._ep_column(srcs, nb, rdzv),
+                self._ep_column(dests, nb, rdzv))
+
+    def _ep_column(self, ranks: np.ndarray, nb: int, rdzv: np.ndarray):
+        """Endpoint times of ``ranks`` for ``nb``-byte messages."""
+        if self._uniform_prof is not None:
+            eager = np.full(len(ranks), self._ep(0, nb, False))
+            return np.where(rdzv, self._ep(0, nb, True), eager) \
+                if rdzv.any() else eager
+        ep = self._ep
+        everyone = range(self.nranks)
+        eager = np.array([ep(r, nb, False) for r in everyone])[ranks]
+        if not rdzv.any():
+            return eager
+        piped = np.array([ep(r, nb, True) for r in everyone])[ranks]
+        return np.where(rdzv, piped, eager)
+
     def _commit_sendrecv_wave(
         self, wave: List[tuple], ops: List[Any], sr: List[int]
     ) -> bool:
@@ -470,58 +796,11 @@ class BatchedEngine(Engine):
         ):
             return False
 
-        net = self.network
-        prof = self._uniform_prof
-        hm = self._hops_mat
-        nb0 = int(nb[0])
-        if (
-            prof is not None
-            and hm is not None
-            and type(net) is TofuDNetwork
-            and net.faults is None
-            and int(nb.min()) == nb0 == int(nb.max())
-        ):
-            # Uniform round on the stock network model: evaluate the
-            # wire/endpoint formulas as columns (same operation order as
-            # the scalar chain, so identical float64 results).
-            ns = srcs // self._rpn
-            nd = dests // self._rpn
-            hops_col = hm[ns, nd]
-            shm = ns == nd
-            rdzv_b = nb0 > net.eager_threshold
-            lat = net.base_latency + hops_col * float(net.per_hop_latency)
-            if rdzv_b:
-                lat = lat + net.rendezvous_overhead
-            lat = np.where(shm, net.shm_latency, lat)
-            ser = np.where(
-                shm, nb0 / net.shm_bandwidth, nb0 / net.link_bandwidth
-            )
-            # shm messages never pipeline, mirroring _row's protocol test.
-            ep_e = self._ep(0, nb0, False)
-            if rdzv_b:
-                eps = np.where(shm, ep_e, self._ep(0, nb0, True))
-            else:
-                eps = ep_e
-            epr = eps
-            rdzv = np.logical_and(rdzv_b, ~shm)
-            max_hops = int(np.where(shm, 0, hops_col).max())
-            n_shm = int(shm.sum())
-            n_rdzv = int(rdzv.sum()) if rdzv_b else 0
-            bytes_sent = nb0 * m
-        else:
-            row = self._row
-            rows = [row(int(srcs[i]), int(dests[i]), int(nb[i]))
-                    for i in range(m)]
-            lat = np.array([rw[0] for rw in rows])
-            ser = np.array([rw[1] for rw in rows])
-            rdzv = np.array([rw[2] for rw in rows])
-            shm = np.array([rw[3] for rw in rows])
-            eps = np.array([rw[5] for rw in rows])
-            epr = np.array([rw[6] for rw in rows])
-            max_hops = max(rw[4] for rw in rows)
-            n_shm = int(shm.sum())
-            n_rdzv = int(rdzv.sum())
-            bytes_sent = int(nb.sum())
+        lat, ser, rdzv, shm, hops, eps, epr = self._columns(srcs, dests, nb)
+        bytes_sent = int(nb.sum())
+        max_hops = int(hops.max())
+        n_shm = int(shm.sum())
+        n_rdzv = int(rdzv.sum())
         t = np.fromiter((wave[w][0] for w in sr), np.float64, count=m)
         dl = dests.tolist()
         ingress_free = self._ingress_free
@@ -538,8 +817,7 @@ class BatchedEngine(Engine):
         # Member i's resume charges *its own* receive endpoint for the
         # *incoming* message — row pair[i]'s ep_recv (that row's dest is
         # i, its nbytes/protocol are the incoming message's).
-        if isinstance(epr, np.ndarray):
-            epr = epr[pair]
+        epr = epr[pair]
         incoming = arrival[pair]
         done = np.maximum(np.maximum(send_done, t), incoming) + epr
         if not done.min() > wave[-1][0]:

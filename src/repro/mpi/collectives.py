@@ -43,11 +43,16 @@ __all__ = [
     "allgather_bruck",
     "alltoall_pairwise",
     "DEFAULT_REDUCE_BW",
+    "LARGE_ALLREDUCE",
 ]
 
 #: Local reduction arithmetic bandwidth (bytes/s) — a single A64FX core
 #: streaming two operands and writing one (memory-bound add).
 DEFAULT_REDUCE_BW = 10e9
+
+#: :func:`allreduce_auto` switches from recursive doubling to
+#: Rabenseifner above this many bytes.
+LARGE_ALLREDUCE = 256 * 1024
 
 ReduceOp = Callable[[Any, Any], Any]
 
@@ -348,7 +353,7 @@ def allreduce_auto(
     nbytes: int,
     value: Any,
     op: Optional[ReduceOp] = None,
-    large_threshold: int = 256 * 1024,
+    large_threshold: int = LARGE_ALLREDUCE,
 ) -> Generator:
     """Size-based algorithm selection (latency- vs bandwidth-optimal)."""
     if nbytes <= large_threshold or size <= 2:

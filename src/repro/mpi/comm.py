@@ -24,23 +24,25 @@ MPI.jl.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
 from .batched import BatchedEngine
 from .bindings import BindingProfile, IMB_C
 from .faults import FaultPlan, get_active_plan
 from .collectives import (
+    LARGE_ALLREDUCE,
     allreduce_auto,
     scatterv_linear,
     allreduce_recursive_doubling,
     allreduce_ring,
-    barrier_dissemination,
     bcast_binomial,
     gatherv_linear,
     reduce_binomial,
 )
 from .network import TofuDNetwork
 from .simulator import (
+    Collective,
     Compute,
     Irecv,
     Isend,
@@ -54,6 +56,17 @@ from .simulator import (
 from .topology import TofuDTopology
 
 __all__ = ["Comm", "MPIWorld"]
+
+
+def _collective(op: Collective) -> Generator:
+    return (yield op)
+
+
+#: every rank of a world yields the same Collective object
+_barrier = Collective("barrier", tag_base=900)
+_allreduce = lru_cache(maxsize=32)(
+    lambda nbytes: Collective("allreduce", nbytes, tag_base=300)
+)
 
 
 @dataclass(frozen=True)
@@ -119,7 +132,7 @@ class Comm:
 
     # -- collectives ------------------------------------------------------
     def barrier(self) -> Generator:
-        return barrier_dissemination(self.rank, self.size)
+        return _collective(_barrier)
 
     def bcast(self, value: Any, root: int = 0, nbytes: int = 0) -> Generator:
         return bcast_binomial(self.rank, self.size, root, nbytes, value)
@@ -140,6 +153,14 @@ class Comm:
         nbytes: int = 0,
         algorithm: str = "auto",
     ) -> Generator:
+        if value is None and (
+            algorithm == "recursive_doubling"
+            or algorithm == "auto"
+            and (nbytes <= LARGE_ALLREDUCE or self.size <= 2)
+        ):
+            # payload-free recursive doubling (what allreduce_auto picks
+            # at this size): one op for the whole collective
+            return _collective(_allreduce(nbytes))
         if algorithm == "auto":
             return allreduce_auto(self.rank, self.size, nbytes, value, op)
         if algorithm == "recursive_doubling":

@@ -8,7 +8,8 @@ charges binding software costs from a
 (:mod:`repro.mpi.collectives`) are ordinary sub-generators built from
 sends/receives, so their latency *emerges* from real message flows —
 1536-rank Allreduce really performs ~11 rounds of pairwise exchanges
-across the torus.
+across the torus.  A payload-free barrier or Allreduce is one
+:class:`Collective` op, which the engine expands into that generator.
 
 Semantics (blocking MPI, one outstanding operation per rank):
 
@@ -21,6 +22,7 @@ Semantics (blocking MPI, one outstanding operation per rank):
   avoid deadlock, like MPI_Sendrecv).
 * ``Compute`` — local work (reduction arithmetic, model time).
 * ``Now`` — reads the rank's virtual clock (the benchmark timer).
+* ``Collective`` — a whole payload-free collective (see its class).
 
 Payloads are real Python/numpy objects, so data correctness is testable;
 benchmarks may send ``payload=None`` with an explicit byte count to skip
@@ -53,6 +55,7 @@ __all__ = [
     "Compute",
     "Now",
     "Mark",
+    "Collective",
     "DeadlockError",
     "RankFailedError",
     "Engine",
@@ -151,6 +154,40 @@ class Mark:
 
     name: str
     info: Any = None
+
+
+@dataclass(frozen=True)
+class Collective:
+    """A whole payload-free collective as one op.
+
+    ``kind`` is ``"barrier"`` (dissemination) or ``"allreduce"``
+    (recursive doubling); its per-rank message flow is the generator
+    :meth:`expand` returns from :mod:`repro.mpi.collectives`.  The
+    engine drives that generator in the rank's place (exactly what
+    ``yield from`` would do), so every rank still issues the same sends,
+    receives and computes; the batched fast path may instead evaluate a
+    whole wave of equal ``Collective`` ops at once
+    (:mod:`repro.mpi.batched`).  The rank resumes with ``None``.
+    """
+
+    kind: str
+    nbytes: int = 0
+    root: int = 0
+    tag_base: int = 0
+
+    def expand(self, rank: int, size: int) -> Generator:
+        """This rank's share of the collective, as today's generator."""
+        from . import collectives
+
+        if self.kind == "barrier":
+            return collectives.barrier_dissemination(
+                rank, size, tag_base=self.tag_base
+            )
+        if self.kind == "allreduce":
+            return collectives.allreduce_recursive_doubling(
+                rank, size, self.nbytes, None, tag=self.tag_base
+            )
+        raise ValueError(f"unknown collective {self.kind!r}")
 
 
 RankProgram = Callable[..., Generator]
@@ -269,6 +306,9 @@ class _RankState:
     failed: bool = False
     #: bumped every resume; lets timeout events detect stale waits.
     wait_epoch: int = 0
+    #: generators suspended under ``gen`` (the program below an expanded
+    #: Collective), innermost last; ``gen``'s return value resumes them.
+    outer: List[Generator] = field(default_factory=list)
 
 
 class Engine:
@@ -519,14 +559,59 @@ class Engine:
             )
             if state.time > self._clock_floor[rank]:
                 self._clock_floor[rank] = state.time
+        op = self._resume(rank, value)
+        if op is not None:
+            self._dispatch(rank, op)
+
+    def _resume(self, rank: int, value: Any, expand: bool = True) -> Any:
+        """Send ``value`` into a rank's program and return the op it yields
+        next, or None once it has finished (see :meth:`_next`)."""
+        state = self._states[rank]
         try:
             op = state.gen.send(value)
+            if op.__class__ is Collective and expand:
+                self._enter(rank, op)
+                op = self._next(rank, None)
+            return op
         except StopIteration as stop:
+            if state.outer:
+                state.gen = state.outer.pop()
+                return self._resume(rank, stop.value, expand)
             state.done = True
             state.result = stop.value
             self._active -= 1
-            return
-        self._dispatch(rank, op)
+            return None
+
+    def _next(self, rank: int, value: Any, expand: bool = True) -> Any:
+        """The op a rank's program yields when resumed with ``value``;
+        StopIteration once the program returns.
+
+        A :class:`Collective` is expanded in place (:meth:`_enter`): its
+        per-rank generator runs on top of the program until it returns,
+        whose value resumes the program in the same step, exactly as
+        ``yield from`` would.  ``expand=False`` hands the op back
+        instead.
+        """
+        state = self._states[rank]
+        while True:
+            try:
+                op = state.gen.send(value)
+            except StopIteration as stop:
+                if not state.outer:
+                    raise
+                state.gen = state.outer.pop()
+                value = stop.value
+                continue
+            if op.__class__ is not Collective or not expand:
+                return op
+            self._enter(rank, op)
+            value = None
+
+    def _enter(self, rank: int, op: "Collective") -> None:
+        """Run ``op``'s per-rank generator on top of the rank's program."""
+        state = self._states[rank]
+        state.outer.append(state.gen)
+        state.gen = op.expand(rank, self.nranks)
 
     def _dispatch(self, rank: int, op: Any) -> None:
         state = self._states[rank]

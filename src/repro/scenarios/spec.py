@@ -59,6 +59,20 @@ _IDENTITY_FIELDS = (
 )
 
 
+#: ``(field, accepted types, description)`` checked before any value is
+#: used; a bool is never accepted as an int.
+_FIELD_TYPES = (
+    ("experiment", str, "a string"),
+    ("scale", str, "a string"),
+    ("faults", (str, type(None)), "a string or null"),
+    ("fault_seed", int, "an int"),
+    ("guard", (str, type(None)), "a string or null"),
+    ("guard_cadence", int, "an int"),
+    ("guard_inject", (str, type(None)), "a string or null"),
+    ("description", str, "a string"),
+)
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """One named, validated, hashable adversarial configuration."""
@@ -86,6 +100,13 @@ class ScenarioSpec:
             raise ScenarioError(
                 f"scenario name {self.name!r} must match {_NAME_RE.pattern}"
             )
+        for field_name, kinds, what in _FIELD_TYPES:
+            value = getattr(self, field_name)
+            if not isinstance(value, kinds) or isinstance(value, bool):
+                raise ScenarioError(
+                    f"scenario {self.name!r}: {field_name} must be {what}, "
+                    f"got {value!r}"
+                )
         if self.experiment not in SCALES:
             raise ScenarioError(
                 f"scenario {self.name!r}: unknown experiment "
@@ -103,13 +124,6 @@ class ScenarioSpec:
             raise ScenarioError(f"scenario {self.name!r}: {exc}") from exc
         if plan is None:
             object.__setattr__(self, "faults", None)  # normalise "off"
-        if not isinstance(self.fault_seed, int) or isinstance(
-            self.fault_seed, bool
-        ):
-            raise ScenarioError(
-                f"scenario {self.name!r}: fault_seed must be an int, "
-                f"got {self.fault_seed!r}"
-            )
         guard = self.guard
         if guard in ("", "off"):
             guard = None
@@ -119,7 +133,7 @@ class ScenarioSpec:
                 f"{self.guard!r}; valid: " + ", ".join(GUARD_MODES)
             )
         object.__setattr__(self, "guard", guard)
-        if not isinstance(self.guard_cadence, int) or self.guard_cadence < 1:
+        if self.guard_cadence < 1:
             raise ScenarioError(
                 f"scenario {self.name!r}: guard_cadence must be an int "
                 f">= 1, got {self.guard_cadence!r}"

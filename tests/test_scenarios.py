@@ -10,6 +10,7 @@ regressions replay against.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.scenarios import (
     PACKS,
@@ -115,6 +116,57 @@ class TestScenarioDocs:
         except ImportError:
             with pytest.raises(ScenarioError, match="PyYAML"):
                 load_scenario_file(path)
+
+
+#: any value a JSON document can hold
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+SPEC_FIELDS = ("name", "experiment", "scale", "faults", "fault_seed",
+               "guard", "guard_cadence", "guard_inject", "description",
+               "tags")
+
+
+class TestScenarioFieldTypes:
+    """A wrong-typed field is a ScenarioError that names it, whatever
+    the value; a non-string fault spec used to reach ``.strip()``."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("faults", 3), ("faults", ["lossy"]), ("faults", {"a": 1}),
+        ("experiment", ["fig2"]), ("scale", ["ci"]),
+        ("guard_cadence", True), ("fault_seed", True),
+        ("guard", 1), ("guard_inject", ["overflow16"]),
+        ("description", 5),
+    ])
+    def test_wrong_type_names_the_field(self, field, value):
+        with pytest.raises(ScenarioError, match=field):
+            parse_scenario_doc({"name": "x", field: value})
+
+    def test_campaign_file_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        bad = tmp_path / "bad.json"
+        for field, value in (("faults", 3), ("experiment", ["fig2"]),
+                             ("scale", ["ci"]), ("guard_cadence", True)):
+            bad.write_text(json.dumps({"name": "x", field: value}))
+            assert main(["campaign", "run", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert field in err and "Traceback" not in err
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=st.dictionaries(st.sampled_from(SPEC_FIELDS), JSON_VALUES)
+           | JSON_VALUES)
+    def test_any_json_document_parses_or_is_a_scenario_error(self, doc):
+        try:
+            specs = parse_scenario_doc(doc)
+        except ScenarioError:
+            return
+        for spec in specs:
+            assert ScenarioSpec.from_dict(spec.as_dict()) == spec
 
 
 class TestPacks:

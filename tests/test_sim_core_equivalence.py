@@ -18,7 +18,11 @@ that contract:
   mixed SendRecv rings, collectives, compute, odd topologies, per-rank
   bindings and fault plans — which is the backstop for event-order tie
   handling at the vector/scalar boundary;
-* the dense hop matrix against the scalar dimension-ordered router.
+* the dense hop matrix against the scalar dimension-ordered router;
+* compiled collectives: a wave of equal :class:`Collective` ops commits
+  from its round table, and must match both the object core and the
+  batched engine with the compile taken out (:func:`expanded_only`),
+  which drives the same generators op by op.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core import figures
 from repro.mpi import Comm, MPIWorld
+from repro.mpi import batched, schedules
 from repro.mpi import comm as comm_module
 from repro.mpi.bindings import IMB_C, MPI_JL
 from repro.mpi.faults import FAULT_PRESETS, parse_fault_spec
@@ -70,10 +75,42 @@ def _run_world(make_world, program, *args):
         return str(exc), None
 
 
+@contextlib.contextmanager
+def expanded_only():
+    """Run the enclosed code with no collective compiled: every
+    :class:`Collective` expands into its generator."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(schedules, "schedule_for", lambda op, size: None)
+        yield
+
+
 def _both_cores(make_world, program, *args):
     with object_core():
         ref = _run_world(make_world, program, *args)
     return ref, _run_world(make_world, program, *args)
+
+
+def _three_cores(make_world, program, *args):
+    """Object core, batched with the compile taken out, batched."""
+    ref, got = _both_cores(make_world, program, *args)
+    with expanded_only():
+        expanded = _run_world(make_world, program, *args)
+    return ref, expanded, got
+
+
+@contextlib.contextmanager
+def committed():
+    """Record the collectives of every round table committed."""
+    seen = []
+    apply = batched.BatchedEngine._apply
+
+    def spy(self, plan, wave, ahead):
+        seen.append(tuple(op.kind for op in plan.sched.collectives))
+        return apply(self, plan, wave, ahead)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(batched.BatchedEngine, "_apply", spy)
+        yield seen
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +184,9 @@ PHASE = st.one_of(
     st.tuples(st.just("barrier")),
     st.tuples(st.just("allreduce"),
               st.sampled_from([8, 256, 4096, 70000])),
+    # payload-free: one Collective op, compiled when a wave allows
+    st.tuples(st.just("allreduce0"),
+              st.sampled_from([8, 65536, 70000])),
     st.tuples(st.just("gatherv"),
               st.sampled_from([16, 2048, 70000]),
               st.integers(0, 3)),
@@ -171,6 +211,8 @@ def _composed(phases):
                 acc = yield from comm.allreduce(
                     acc, op=operator.add, nbytes=phase[1]
                 )
+            elif kind == "allreduce0":
+                yield from comm.allreduce(None, nbytes=phase[1])
             elif kind == "gatherv":
                 root = phase[2] % comm.size
                 got = yield from comm.gatherv(acc, root=root,
@@ -215,7 +257,7 @@ FAULTS = st.one_of(
 @settings(max_examples=30, deadline=None)
 @given(
     nranks=st.integers(2, 16),
-    rpn=st.sampled_from([1, 2, 4]),
+    rpn=st.sampled_from([1, 2, 4, 16]),
     phases=st.lists(PHASE, min_size=1, max_size=6),
     binding_mix=st.sampled_from(["imb", "jl", "mixed"]),
     faults=FAULTS,
@@ -241,6 +283,37 @@ FAULTS = st.one_of(
 # pops runs on before the object core creates that member's resume.
 @example(nranks=11, rpn=2, binding_mix="imb", faults=None,
          phases=[("xchg", 8, 1), ("xchg", 8, 2), ("barrier",), ("now",)])
+# Compiled collectives: a barrier right before a Gatherv (equal-time
+# resumes decide which same-time sends queue first at the root)...
+@example(nranks=16, rpn=4, binding_mix="imb", faults=None,
+         phases=[("barrier",), ("gatherv", 16, 0)])
+@example(nranks=12, rpn=2, binding_mix="jl", faults=None,
+         phases=[("barrier",), ("now",), ("gatherv", 2048, 3)])
+# ...a barrier or Allreduce entered at different times...
+@example(nranks=16, rpn=2, binding_mix="imb", faults=None,
+         phases=[("compute", 3), ("barrier",), ("compute", 5),
+                 ("allreduce0", 8)])
+@example(nranks=16, rpn=2, binding_mix="imb", faults=None,
+         phases=[("compute", 3), ("allreduce0", 8), ("compute", 5),
+                 ("barrier",)])
+# ...non-power-of-two sizes (the Allreduce fold-in), chained after a
+# barrier through Now...
+@example(nranks=13, rpn=4, binding_mix="imb", faults=None,
+         phases=[("barrier",), ("now",), ("allreduce0", 8), ("now",)])
+@example(nranks=12, rpn=1, binding_mix="jl", faults=None,
+         phases=[("allreduce0", 65536), ("gatherv", 16, 0)])
+# ...sizes either side of the eager/rendezvous threshold...
+@example(nranks=16, rpn=4, binding_mix="imb", faults=None,
+         phases=[("barrier",), ("allreduce0", 65536),
+                 ("allreduce0", 70000)])
+# ...every rank on one node (shared memory only)...
+@example(nranks=16, rpn=16, binding_mix="imb", faults=None,
+         phases=[("barrier",), ("now",), ("allreduce0", 70000),
+                 ("gatherv", 2048, 1)])
+# ...and per-rank bindings.
+@example(nranks=10, rpn=2, binding_mix="mixed", faults=None,
+         phases=[("barrier",), ("now",), ("allreduce0", 8),
+                 ("bcast", 64)])
 def test_random_programs_equivalent(nranks, rpn, phases, binding_mix,
                                     faults):
     kwargs = {}
@@ -258,7 +331,8 @@ def test_random_programs_equivalent(nranks, rpn, phases, binding_mix,
     )
     make = lambda: MPIWorld(nranks=nranks, ranks_per_node=rpn,
                             faults=plan, **kwargs)
-    ref, got = _both_cores(make, _composed(phases))
+    ref, expanded, got = _three_cores(make, _composed(phases))
+    assert expanded == ref
     assert got == ref
 
 
@@ -284,6 +358,35 @@ def test_faulted_world_equivalent():
                          ("ring", 32, 1)])
     ref, got = _both_cores(make, program)
     assert got == ref
+
+
+def test_fig3_point_worlds_compile_their_collectives():
+    """A 96-rank Fig. 3 world commits its barrier, chained through the
+    timer read into the Allreduce, from round tables rather than
+    silently expanding them; the Gatherv world compiles its barrier."""
+    with committed() as seen:
+        figures.fig3_collectives_point("Allreduce", 1024, 96, 1)
+    assert seen == [("barrier", "allreduce")] * 2  # one world per binding
+    with committed() as seen:
+        figures.fig3_collectives_point("Gatherv", 1024, 96, 1)
+    assert seen == [("barrier",)] * 2
+
+
+def test_compiled_barrier_then_gatherv_matches_object_core():
+    """The members leave a compiled barrier with resume seqs in object
+    core order: on the symmetric torus many leave at equal times, and
+    the order of those resumes decides which same-time Gatherv sends
+    queue first at the root's ingress."""
+    def program(comm: Comm):
+        yield from comm.barrier()
+        yield from comm.gatherv(None, root=0, nbytes=4096)
+        return (yield comm.now())
+
+    make = lambda: MPIWorld(nranks=96, ranks_per_node=4, binding=MPI_JL)
+    with committed() as seen:
+        ref, expanded, got = _three_cores(make, program)
+    assert ("barrier",) in seen
+    assert got == ref and expanded == ref
 
 
 # ---------------------------------------------------------------------------
