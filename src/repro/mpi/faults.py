@@ -221,10 +221,15 @@ class FaultPlan:
         """
         if not self.partition_active:
             return 0.0, 0
+        if self.in_partition(src) == self.in_partition(dst):
+            return 0.0, 0
+        return self.cut_delay(time)
+
+    def cut_delay(self, time: float) -> Tuple[float, int]:
+        """:meth:`partition_delay` of a message known to cross the cut
+        (callers that cache each rank's side skip the membership hashes)."""
         heal = self.partition_start + self.partition_duration
         if time < self.partition_start or time >= heal:
-            return 0.0, 0
-        if self.in_partition(src) == self.in_partition(dst):
             return 0.0, 0
         attempts = max(1, math.ceil((heal - time) / self.retransmit_timeout))
         delay = attempts * self.retransmit_timeout

@@ -369,6 +369,18 @@ class Engine:
         #: live (not-done) rank count; lets the loop stop the instant
         #: the last rank finishes instead of draining stale events.
         self._active = 0
+        # Per-rank fault decisions are pure hashes of (seed, rank), so
+        # each is drawn once per world rather than once per operation.
+        plan = self.faults
+        self._cpu_factor: Optional[List[float]] = (
+            [plan.compute_factor(r) for r in range(nranks)]
+            if plan is not None else None
+        )
+        #: each rank's side of the partition cut (``None`` without one).
+        self._isolated: Optional[List[bool]] = (
+            [plan.in_partition(r) for r in range(nranks)]
+            if plan is not None and plan.partition_active else None
+        )
 
     # ------------------------------------------------------------------
     def binding(self, rank: int) -> BindingProfile:
@@ -380,8 +392,8 @@ class Engine:
     # -- fault helpers -----------------------------------------------------
     def _cpu(self, rank: int, seconds: float) -> float:
         """Local work time, inflated for straggler ranks."""
-        if self.faults is not None:
-            return seconds * self.faults.compute_factor(rank)
+        if self._cpu_factor is not None:
+            return seconds * self._cpu_factor[rank]
         return seconds
 
     def _rank_failed(self, rank: int) -> bool:
@@ -401,8 +413,9 @@ class Engine:
         if plan is None or not plan.any_message_faults:
             return 0.0
         delay = 0.0
-        if plan.partition_active:
-            blocked, lost = plan.partition_delay(src, dest, t)
+        if (self._isolated is not None
+                and self._isolated[src] != self._isolated[dest]):
+            blocked, lost = plan.cut_delay(t)
             if lost:
                 delay += blocked
                 self.stats.messages_lost += lost

@@ -9,6 +9,17 @@ operations, in the identical order — against preallocated scratch
 buffers and slice-copy shifts, so a step performs zero heap allocation
 beyond a handful of reused arrays.
 
+**Compiled programs.**  The step is written once, as the bodies of
+:meth:`FusedTendencies.__call__` and :class:`FusedRK4`, against prims
+that *emit* numpy calls instead of executing them.  At bind time the
+body runs once and leaves a flat program: a list of ``(f, args)``
+entries on the stepper's preallocated buffers, with ``out`` positional,
+shifts as ``np.copyto`` on precomputed views, and every distinct view
+one shared object.  ``step()`` replays the list.  At ci scale a step is
+bound by numpy dispatch (~1 µs a call), so the replay loop, not the
+arithmetic, is what this layout makes cheap; there is no second copy of
+the arithmetic to keep in step with the first.
+
 Bit-identity is a hard contract, not an aspiration
 (``tests/test_fused_kernels.py`` pins fused == unfused exactly):
 
@@ -20,13 +31,28 @@ Bit-identity is a hard contract, not an aspiration
   path (every Float16 ufunc is a scalar loop ~20x slower than float32),
   so the fused kernel keeps all fields as float16-*valued* float32
   arrays and rounds to the Float16 grid after every elementary ``+ - *``
-  (:func:`round16_`).  Because Float32 carries more than ``2*11 + 2``
+  (:class:`_Rounder16`).  Because Float32 carries more than ``2*11 + 2``
   significand bits, computing an elementary op in float32 and rounding
   to Float16 is bit-identical to the native Float16 op (the classic
   double-rounding-safety bound of Rump/Roux-style analyses), including
   overflow to ``inf``, signed zeros, and subnormals.  This is the
   software analogue of the paper's point that A64FX executes Float16
   arithmetic at full vector speed while commodity numpy cannot.
+
+**Two Float16 programs.**  The *clean* program is branch-free and uses
+the 8-call rounder: it assumes every rounded value lies below binade 15
+and folds that assumption into one running maximum of the snap bits,
+read once per step.  The screen flags binade >= 15, which covers every
+Float16 overflow, every non-finite value and every ``|x| >= 2**115``
+(where the exponent trick would wrap).  A power-of-two multiply that
+shrinks (``mul_p2s``) always rounds; one that grows (``mul_p2g``) is
+exact below overflow and only feeds the screen.  A step whose screen
+fires is undone from a copy of the state (and carry) taken at its start
+and replayed on the *general* program, compiled from the same body with
+an 11-call rounder that is exact on every float32 input; the stepper
+stays on the general program while the state holds a non-finite value.
+Both replays run under ``np.errstate(invalid="ignore", over="ignore")``:
+a Float16 blow-up is modelled, and the model and the guard report it.
 
 The scaling discipline of §III-B (scaled x unscaled products, boosted
 drag constants, premultiplied tendencies) is inherited untouched — the
@@ -41,7 +67,8 @@ reference path runs.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+import functools
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -62,221 +89,259 @@ _SNAP_ADD = np.uint32(0x06C00000)
 #: bit pattern of 0.75 = 1.5 * 2**-1 — the subnormal-range snap (its
 #: float32 ulp is 2**-24, Float16's subnormal spacing).
 _SNAP_MIN = np.uint32(0x3F400000)
-#: bit pattern of 65504.0, the largest finite Float16; any magnitude
-#: whose bits exceed this (including inf/nan) needs the overflow path.
-_F16_MAX_BITS = np.uint32(0x477FE000)
-#: bit pattern of the largest float32 below 2**-14 (Float16's smallest
-#: normal) — the subnormal-result screen of :meth:`_ShadowPrims.mul_p2s`.
-_F16_SUBMIN_TOP = np.uint32(0x387FFFFF)
+#: snap bits of binade 15 (``1.5 * 2**28``).  The clean rounder's screen
+#: flags any snap at or above it; the general rounder caps its snap
+#: there, so the exponent trick never wraps.
+_SCREEN_BITS = np.uint32(0x4DC00000)
+#: the largest finite Float16.
+_F16_MAX = np.float32(65504.0)
 #: Float16 minimum normal magnitude (for flush-to-zero masks).
 _F16_MIN_NORMAL = np.float32(2.0**-14)
+_INF = np.float32(np.inf)
+_ZERO = np.float32(0.0)
+
+#: one compiled program: ``f(*args)`` for every entry, in order.
+Program = List[Tuple[Callable[..., Any], Tuple[Any, ...]]]
+
+
+class _Recorder:
+    """Collects emitted calls into a :data:`Program`.
+
+    Array arguments are interned by (address, shape, strides, dtype), so
+    every distinct view in the program is one shared object.  Reading
+    the address is slow, so an object already seen is looked up by
+    ``id``; the recorder keeps every object it saw alive, so no id is
+    reused while it records."""
+
+    def __init__(self):
+        self.ops: Program = []
+        self._views: Dict[tuple, np.ndarray] = {}
+        self._seen: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def view(self, x):
+        if not isinstance(x, np.ndarray):
+            return x
+        hit = self._seen.get(id(x))
+        if hit is None:
+            key = (x.__array_interface__["data"][0], x.shape, x.strides,
+                   x.dtype.str)
+            hit = self._seen[id(x)] = (self._views.setdefault(key, x), x)
+        return hit[0]
+
+    def __call__(self, f, *args) -> None:
+        self.ops.append((f, tuple(map(self.view, args))))
+
+
+def _replay(ops: Program) -> None:
+    for f, args in ops:
+        f(*args)
 
 
 # ---------------------------------------------------------------------------
 # Float16 grid rounding, computed entirely in float32
 # ---------------------------------------------------------------------------
-class _Rounder16:
-    """Rounds float32 arrays to the Float16 value grid, in place.
+class _Scratch(NamedTuple):
+    """A rounder's scratch, sliced to one array size."""
 
-    The magic sum ``(x + s) - s`` with ``s = copysign(1.5 * 2**(e+13), x)``
-    (``e`` the binade of ``x``) makes the float32 sum's ulp exactly
-    ``2**(e-10)`` — Float16's grid — with ties-to-even inherited from
-    float32.  The 1.5 mantissa keeps the sum inside ``s``'s binade for
-    every ``x`` (``1.5 + m/8192 < 2`` for ``m < 2``), which is what
-    defeats the classic binade-crossing failure of magic-number
-    rounding; ``s`` itself is built with four integer ops on the bit
-    pattern of ``x`` (mask the exponent, add 13 to it, or-in the 1.5
-    bit, copy the sign), so the whole pipeline uses only fast
-    same-width ufunc loops — numpy's float16 ufuncs are scalar
-    software-emulation loops an order of magnitude slower.  For
-    ``|x| < 2**-14`` the snap clamps to ``0.75 = 1.5 * 2**-1``, whose
-    ulp is the absolute ``2**-24`` grid (Float16's subnormal spacing);
-    the two regimes coincide exactly at the boundary binade.
-    Magnitudes beyond 65504 overflow to signed infinity exactly as a
-    float32→float16 cast does.
+    ti: np.ndarray       # uint32: exponent bits, then the snap s, then sign
+    s: np.ndarray        # float32 view of ti
+    t2: np.ndarray       # uint32: |x| bits (general rounder)
+    absx: np.ndarray     # float32 view of t2
+    vn: np.ndarray       # float32: the magic sum
+    vbits: np.ndarray    # uint32 view of vn
+    m: np.ndarray        # bool mask
+    snapmin: np.ndarray  # uint32 operand of the subnormal snap clamp
+    smax: np.ndarray     # uint32 running maximum of the screen
+
+
+class _Rounder16:
+    """Emits in-place rounding of float32 arrays to the Float16 grid.
+
+    The magic sum ``(x + s) - s`` with ``s = 1.5 * 2**(e+13)`` (``e`` the
+    binade of ``x``) makes the float32 sum's ulp exactly ``2**(e-10)`` —
+    Float16's grid — with ties-to-even inherited from float32.  The 1.5
+    mantissa keeps the sum inside ``s``'s binade for every ``x`` (``1.5 ±
+    m/8192`` stays in ``[1, 2)`` for ``m < 2``), which defeats the classic
+    binade-crossing failure of magic-number rounding, and makes the
+    rounding sign-symmetric (``s`` is an even multiple of the grid), so
+    ``s`` needs no sign.  It is built with integer ops on the bit pattern
+    of ``x`` (mask the exponent, add 13 to it and or-in the 1.5 bit), so
+    the whole pipeline uses only fast same-width ufunc loops.  For
+    ``|x| < 2**-14`` the snap clamps to ``0.75 = 1.5 * 2**-1``, whose ulp
+    is the absolute ``2**-24`` grid (Float16's subnormal spacing); the
+    two regimes coincide exactly at the boundary binade.  A result that
+    rounds to zero takes the sign of ``x`` back from its bits.
+
+    Scratch is flat and sliced per array size, so one rounder serves
+    every array up to ``n`` elements — (ny, nx) fields and the
+    (2/3/4, ny, nx) batched blocks alike.  Both programs of a stepper
+    share it.  The integer maxima use ``np.fmax``/``np.fmin``, which
+    equal ``np.maximum``/``np.minimum`` on integers and, unlike them,
+    take ``out`` positionally.
     """
 
-    def __init__(self, shape: Tuple[int, ...], flag: Optional[list] = None):
-        # Scratch is flat and sliced per call, so one rounder serves
-        # every array up to prod(shape) elements — (ny, nx) fields and
-        # the (2/3, ny, nx) batched blocks alike.
-        n = int(np.prod(shape))
+    def __init__(self, n: int):
         self._ti = np.empty(n, np.uint32)
         self._t2 = np.empty(n, np.uint32)
         self._vn = np.empty(n, np.float32)
         self._m = np.empty(n, np.bool_)
-        self._m2 = np.empty(n, np.bool_)
         #: array operand for the subnormal snap clamp (the array-array
         #: maximum loop is measurably faster than the scalar one).
         self._snapmin = np.full(n, _SNAP_MIN, np.uint32)
-        #: shared one-element cell: "no infinity has entered the state
-        #: yet" — inputs to every op are finite Float16 values, whose
-        #: products/sums cannot overflow float32 (or reach 2**115, where
-        #: the exponent trick would wrap), so the non-finite passthrough
-        #: check can be skipped.  Rounders of one stepper share the cell
-        #: so an overflow in any of them dirties all.
-        self._flag = flag if flag is not None else [True]
+        #: elementwise running maximum of the clean rounder's snap bits
+        #: (and of ``mul_p2g``'s); ``>= _SCREEN_BITS`` anywhere flags it.
+        self.smax = np.zeros(n, np.uint32)
+        self._views: Dict[int, _Scratch] = {}
 
-    @property
-    def clean(self) -> bool:
-        return self._flag[0]
-
-    @clean.setter
-    def clean(self, value: bool) -> None:
-        self._flag[0] = value
-
-    def round_(self, x: np.ndarray) -> None:
+    def _flat(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, _Scratch]:
+        """``x`` flat, its bits, and the scratch views for its size (made
+        once per size, so recording sees the same objects again)."""
+        if not x.flags.c_contiguous:
+            raise ValueError("rounding needs a C-contiguous array")
         xf = x.reshape(-1)
         n = xf.size
-        b = xf.view(np.uint32)
-        ti, t2, vn = self._ti[:n], self._t2[:n], self._vn[:n]
-        dirty = not self.clean
-        m2 = None
-        np.bitwise_and(b, _ABS_MASK, out=t2)  # |x| (bits and f32 view)
-        if dirty:
-            # inf/nan (and astronomically large mixed-mode stage values)
-            # would corrupt the magic sum; pass them through so the
-            # overflow clamp below maps them like a cast would.
-            m, m2 = self._m[:n], self._m2[:n]
-            np.isfinite(xf, out=m2)
-            np.logical_not(m2, out=m2)
-            np.greater(t2, np.uint32(0x5F000000), out=m)  # |x| >= 2**63
-            np.logical_or(m2, m, out=m2)
-        # s = 1.5 * 2**(clamped e + 13); the magic sum runs on |x| so no
-        # sign copy into s is needed (nearest-even is sign-symmetric).
-        np.bitwise_and(t2, _EXP_MASK, out=ti)
-        np.add(ti, _SNAP_ADD, out=ti)
-        np.maximum(ti, self._snapmin[:n], out=ti)
-        s = ti.view(np.float32)
-        np.add(t2.view(np.float32), s, out=vn)
-        np.subtract(vn, s, out=vn)
-        if dirty and m2.any():
-            np.copyto(vn, xf, where=m2)
-        vb = vn.view(np.uint32)
-        # vn >= 0 except for signed passthrough values, whose bit
-        # patterns compare "big" and take the (idempotent) clamp branch.
-        top = vb.max()
-        np.bitwise_and(b, _SIGN_MASK, out=ti)
-        np.bitwise_or(vb, ti, out=b)
-        if top > _F16_MAX_BITS:
-            # Beyond-65504 magnitudes round to signed infinity (nan
-            # passes through: its magnitude compare is already "big").
-            self.clean = False
-            m = np.abs(xf) > np.float32(65504.0)
-            np.copyto(xf, np.copysign(np.float32(np.inf), xf), where=m)
+        views = self._views.get(n)
+        if views is None:
+            ti, t2, vn = self._ti[:n], self._t2[:n], self._vn[:n]
+            views = self._views[n] = _Scratch(
+                ti, ti.view(np.float32), t2, t2.view(np.float32), vn,
+                vn.view(np.uint32), self._m[:n], self._snapmin[:n],
+                self.smax[:n],
+            )
+        return xf, xf.view(np.uint32), views
+
+    def clean_(self, emit: _Recorder, x: np.ndarray) -> None:
+        """8 calls, exact while the screen stays below binade 15."""
+        xf, b, w = self._flat(x)
+        emit(np.bitwise_and, b, _EXP_MASK, w.ti)
+        emit(np.add, w.ti, _SNAP_ADD, w.ti)
+        emit(np.fmax, w.ti, w.snapmin, w.ti)
+        emit(np.fmax, w.smax, w.ti, w.smax)
+        emit(np.add, xf, w.s, w.vn)
+        emit(np.subtract, w.vn, w.s, w.vn)
+        emit(np.bitwise_and, b, _SIGN_MASK, w.ti)
+        emit(np.bitwise_or, w.vbits, w.ti, b)
+
+    def screen_(self, emit: _Recorder, x: np.ndarray) -> None:
+        """Feed ``x``'s snap bits to the screen without rounding."""
+        _, b, w = self._flat(x)
+        emit(np.bitwise_and, b, _EXP_MASK, w.ti)
+        emit(np.add, w.ti, _SNAP_ADD, w.ti)
+        emit(np.fmax, w.smax, w.ti, w.smax)
+
+    def general_(self, emit: _Recorder, x: np.ndarray) -> None:
+        """11 calls, exact on every float32 input: the magic sum runs on
+        ``|x|`` with the snap capped at binade 15, magnitudes beyond
+        65504 become infinity (as a cast rounds them), nan passes
+        through, and the sign comes back from ``x``'s bits."""
+        _, b, w = self._flat(x)
+        emit(np.bitwise_and, b, _ABS_MASK, w.t2)
+        emit(np.bitwise_and, w.t2, _EXP_MASK, w.ti)
+        emit(np.add, w.ti, _SNAP_ADD, w.ti)
+        emit(np.fmax, w.ti, w.snapmin, w.ti)
+        emit(np.fmin, w.ti, _SCREEN_BITS, w.ti)
+        emit(np.add, w.absx, w.s, w.vn)
+        emit(np.subtract, w.vn, w.s, w.vn)
+        emit(np.greater, w.vn, _F16_MAX, w.m)
+        emit(np.copyto, w.vn, _INF, "same_kind", w.m)
+        emit(np.bitwise_and, b, _SIGN_MASK, w.ti)
+        emit(np.bitwise_or, w.vbits, w.ti, b)
+
+    def flush_(self, emit: _Recorder, x: np.ndarray) -> None:
+        """Flush Float16 subnormals to signed zero (mirrors
+        :func:`repro.ftypes.subnormals.flush_to_zero`); a zero keeps its
+        sign, so no nonzero mask is needed."""
+        xf, _, w = self._flat(x)
+        m = emit.view(w.m)
+        emit(np.absolute, xf, w.vn)
+        emit(np.less, w.vn, _F16_MIN_NORMAL, m)
+        emit(functools.partial(np.copysign, where=m), _ZERO, xf, xf)
 
 
 def round16_(x: np.ndarray) -> np.ndarray:
-    """Free-standing helper: round a float32 array to the Float16 grid
-    in place (allocates scratch; kernels use the pooled
-    :class:`_Rounder16`).  Returns ``x``."""
-    r = _Rounder16(x.shape)
-    r.clean = False
-    r.round_(x)
+    """Free-standing helper: round a C-contiguous float32 array to the
+    Float16 grid in place with the general rounder (allocates scratch;
+    steppers compile the rounding into their programs).  Returns ``x``."""
+    emit = _Recorder()
+    _Rounder16(x.size).general_(emit, x)
+    with np.errstate(invalid="ignore"):  # a cast is silent on signalling nans
+        _replay(emit.ops)
     return x
 
 
 # ---------------------------------------------------------------------------
-# Elementary-op layers
+# Elementary-op layers: each emits its calls into a recorder
 # ---------------------------------------------------------------------------
 class _DirectPrims:
-    """float32/float64: plain ufuncs with ``out=``."""
+    """float32/float64: plain ufuncs with ``out``."""
 
-    def __init__(self, dtype: np.dtype, shape: Tuple[int, ...]):
-        self.dtype = dtype
-        self.rounder: Optional[_Rounder16] = None
+    def __init__(self, emit: _Recorder, dtype: np.dtype):
+        self.emit = emit
+        self.dtype = np.dtype(dtype)
 
     def scalar(self, value) -> np.floating:
         return self.dtype.type(value)
 
-    def const(self, arr: np.ndarray) -> np.ndarray:
-        return arr
+    def copy(self, dst, src) -> None:
+        self.emit(np.copyto, dst, src)
 
     def mul(self, a, b, out) -> None:
-        np.multiply(a, b, out=out)
+        self.emit(np.multiply, a, b, out)
 
     def add(self, a, b, out) -> None:
-        np.add(a, b, out=out)
+        self.emit(np.add, a, b, out)
 
     def sub(self, a, b, out) -> None:
-        np.subtract(a, b, out=out)
+        self.emit(np.subtract, a, b, out)
 
     def neg(self, a, out) -> None:
-        np.negative(a, out=out)
+        self.emit(np.negative, a, out)
 
     def mul_p2s(self, a, b, out) -> None:
         """Multiply where one factor is a power-of-two scalar <= 1."""
-        np.multiply(a, b, out=out)
+        self.mul(a, b, out)
 
     def mul_p2g(self, a, b, out) -> None:
         """Multiply where one factor is a power-of-two scalar >= 1."""
-        np.multiply(a, b, out=out)
+        self.mul(a, b, out)
 
 
 class _ShadowPrims(_DirectPrims):
     """Float16 semantics on float32 storage: every ``+ - *`` rounds its
     result to the Float16 grid (negation is exact and skips it)."""
 
-    def __init__(
-        self,
-        dtype: np.dtype,
-        shape: Tuple[int, ...],
-        flag: Optional[list] = None,
-    ):
-        super().__init__(np.dtype(np.float32), shape)
-        self.rounder = _Rounder16(shape, flag)
+    def __init__(self, emit: _Recorder, r: _Rounder16, general: bool):
+        super().__init__(emit, np.dtype(np.float32))
+        self.round_ = functools.partial(r.general_ if general else r.clean_,
+                                        emit)
+        self._screen = functools.partial(
+            r.general_ if general else r.screen_, emit
+        )
+        self.flush_ = functools.partial(r.flush_, emit)
 
     def scalar(self, value) -> np.floating:
         # Round to Float16 first (as the reference dtype cast does),
         # then carry the exact value in float32.
         return np.float32(np.float16(value))
 
-    def const(self, arr: np.ndarray) -> np.ndarray:
-        return arr.astype(np.float16).astype(np.float32)
-
     def mul(self, a, b, out) -> None:
-        np.multiply(a, b, out=out)
-        self.rounder.round_(out)
+        super().mul(a, b, out)
+        self.round_(out)
 
     def add(self, a, b, out) -> None:
-        np.add(a, b, out=out)
-        self.rounder.round_(out)
+        super().add(a, b, out)
+        self.round_(out)
 
     def sub(self, a, b, out) -> None:
-        np.subtract(a, b, out=out)
-        self.rounder.round_(out)
-
-    def mul_p2s(self, a, b, out) -> None:
-        """Shrinking power-of-two multiply: the product of an on-grid
-        value and ``2**-k`` is exact unless it lands in Float16's
-        subnormal range (where the grid coarsens to ``2**-24``), so a
-        three-op bit screen usually replaces the full rounding pass.
-        Infinities/nans pass the screen untouched — exactly what the
-        rounder's passthrough would do to them."""
-        np.multiply(a, b, out=out)
-        r = self.rounder
-        of = out.reshape(-1)
-        ti, m = r._ti[: of.size], r._m[: of.size]
-        np.bitwise_and(of.view(np.uint32), _ABS_MASK, out=ti)
-        # Flag 0 < |product| < 2**-14: subtract 1 so exact zero wraps
-        # past every threshold instead of needing its own test.
-        np.subtract(ti, np.uint32(1), out=ti)
-        np.less(ti, _F16_SUBMIN_TOP, out=m)
-        if m.any():
-            r.round_(out)
+        super().sub(a, b, out)
+        self.round_(out)
 
     def mul_p2g(self, a, b, out) -> None:
         """Growing power-of-two multiply (by 2 or 4): exact on the grid
-        unless the product overflows Float16; one magnitude-max screen
-        usually replaces the full rounding pass (inf/nan magnitudes
-        compare "big" and take the full path, which handles them)."""
-        np.multiply(a, b, out=out)
-        r = self.rounder
-        of = out.reshape(-1)
-        ti = r._ti[: of.size]
-        np.bitwise_and(of.view(np.uint32), _ABS_MASK, out=ti)
-        if ti.max() > _F16_MAX_BITS:
-            r.round_(out)
+        unless the product overflows Float16, so the clean program only
+        screens it."""
+        super().mul(a, b, out)
+        self._screen(out)
 
 
 # ---------------------------------------------------------------------------
@@ -284,44 +349,34 @@ class _ShadowPrims(_DirectPrims):
 # the trailing two axes so the same helper serves (ny, nx) fields and
 # (k, ny, nx) batched blocks (shifting each layer independently).
 # ---------------------------------------------------------------------------
-def _west(a, out) -> None:  # np.roll(a, -1, axis=-1)
-    out[..., :-1] = a[..., 1:]
-    out[..., -1] = a[..., 0]
+def _west(p, a, out) -> None:  # np.roll(a, -1, axis=-1)
+    p.copy(out[..., :-1], a[..., 1:])
+    p.copy(out[..., -1], a[..., 0])
 
 
-def _east(a, out) -> None:  # np.roll(a, 1, axis=-1)
-    out[..., 1:] = a[..., :-1]
-    out[..., 0] = a[..., -1]
+def _east(p, a, out) -> None:  # np.roll(a, 1, axis=-1)
+    p.copy(out[..., 1:], a[..., :-1])
+    p.copy(out[..., 0], a[..., -1])
 
 
-def _north(a, out) -> None:  # np.roll(a, -1, axis=-2)
-    out[..., :-1, :] = a[..., 1:, :]
-    out[..., -1, :] = a[..., 0, :]
+def _north(p, a, out) -> None:  # np.roll(a, -1, axis=-2)
+    p.copy(out[..., :-1, :], a[..., 1:, :])
+    p.copy(out[..., -1, :], a[..., 0, :])
 
 
-def _south(a, out) -> None:  # np.roll(a, 1, axis=-2)
-    out[..., 1:, :] = a[..., :-1, :]
-    out[..., 0, :] = a[..., -1, :]
+def _south(p, a, out) -> None:  # np.roll(a, 1, axis=-2)
+    p.copy(out[..., 1:, :], a[..., :-1, :])
+    p.copy(out[..., 0, :], a[..., -1, :])
 
 
-def _north_zero(a, out) -> None:
-    out[..., :-1, :] = a[..., 1:, :]
-    out[..., -1, :] = 0
+def _north_reflect(p, a, out) -> None:
+    p.copy(out[..., :-1, :], a[..., 1:, :])
+    p.copy(out[..., -1, :], a[..., -1, :])
 
 
-def _north_reflect(a, out) -> None:
-    out[..., :-1, :] = a[..., 1:, :]
-    out[..., -1, :] = a[..., -1, :]
-
-
-def _south_zero(a, out) -> None:
-    out[..., 1:, :] = a[..., :-1, :]
-    out[..., 0, :] = 0
-
-
-def _south_reflect(a, out) -> None:
-    out[..., 1:, :] = a[..., :-1, :]
-    out[..., 0, :] = a[..., 0, :]
+def _south_zero(p, a, out) -> None:
+    p.copy(out[..., 1:, :], a[..., :-1, :])
+    p.copy(out[..., 0, :], 0)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +385,12 @@ def _south_reflect(a, out) -> None:
 class FusedTendencies:
     """Preallocated transcription of :func:`repro.shallowwaters.rhs.tendencies`.
 
-    One instance per (shape, dtype, boundary); ``__call__`` writes the
-    per-step increments into caller-owned output buffers.  The body is
-    the reference expression tree flattened into explicit elementary
-    ops — any reordering would break the bit-identity contract, so the
-    comments track the reference line each block mirrors.
+    One instance per (shape, dtype, boundary); ``__call__`` emits, into
+    prims ``p``, the calls that write the per-step increments into
+    caller-owned output buffers.  The body is the reference expression
+    tree flattened into explicit elementary ops — any reordering would
+    break the bit-identity contract, so the comments track the reference
+    line each block mirrors.
     """
 
     def __init__(
@@ -348,13 +404,9 @@ class FusedTendencies:
             raise ValueError(f"unsupported boundary {boundary!r}")
         self.boundary = boundary
         self.shadow = dtype == np.float16
-        # Prims sized for the largest batched block, (3, ny, nx); the
-        # flat rounder scratch serves every smaller array too.
-        p = (_ShadowPrims if self.shadow else _DirectPrims)(
-            np.dtype(dtype), (3,) + shape
+        d = self.compute_dtype = np.dtype(
+            np.float32 if self.shadow else dtype
         )
-        self.p = p
-        self.compute_dtype = p.dtype
         c = coeffs
         # Scalars/arrays in the compute dtype; shadow mode carries the
         # Float16-rounded values exactly in float32.
@@ -362,197 +414,187 @@ class FusedTendencies:
         as_a = (lambda a: a.astype(np.float32)) if self.shadow else (lambda a: a)
         self.inv_s = as_s(c.inv_s)
         self.half = as_s(c.half)
-        self.quarter = p.dtype.type(0.25)
-        self.four = p.dtype.type(4)
+        self.quarter = d.type(0.25)
+        self.four = d.type(4)
         self.cg = as_s(c.cg)
         self.cz = as_s(c.cz)
         self.ch = as_s(c.ch)
         self.cr_hi = as_s(c.cr_hi)
         self.cr_lo = as_s(c.cr_lo)
         self.cb = as_s(c.cb)
-        self.cf_u = as_a(c.cf_u)
-        self.cf_q = as_a(c.cf_q)
         self.cw = as_a(c.cw)
-        d = self.compute_dtype
+        # Per-layer factors of the batched products below: a (2, 1, 1)
+        # or (2, ny, 1) operand multiplies each layer by its own factor,
+        # the same products the unbatched ops form.
+        self.cg_cz = np.array([self.cg, self.cz], d).reshape(2, 1, 1)
+        self.ch_cz = np.array([self.ch, self.cz], d).reshape(2, 1, 1)
+        self.cf_uq = np.stack(
+            np.broadcast_arrays(as_a(c.cf_u), as_a(c.cf_q))
+        )
         # Scratch pool (names track the choreography in __call__).  The
         # unscaled fields live in one (3, ny, nx) block (computed with a
-        # single batched multiply); pair blocks batch the independent
-        # u-path/v-path ops of each section into one ufunc+rounding pass.
+        # single batched multiply); pair and quad blocks batch the
+        # independent u-path/v-path/eta-path ops of each section into one
+        # ufunc+rounding pass.
         self.un3 = np.empty((3,) + shape, d)
-        self.un_u, self.un_v, self.un_eta = self.un3
-        (self.A, self.B, self.C, self.D, self.E, self.F) = (
-            np.empty(shape, d) for _ in range(6)
-        )
-        (self.B2, self.C2, self.P2, self.V2, self.W2) = (
-            np.empty((2,) + shape, d) for _ in range(5)
+        self.A = np.empty(shape, d)
+        (self.DB, self.G2) = (np.empty((2,) + shape, d) for _ in range(2))
+        (self.PE, self.Q4, self.X4, self.W4) = (
+            np.empty((4,) + shape, d) for _ in range(4)
         )
 
     # -- boundary-dependent shifts ------------------------------------------
-    def _north_u(self, a, out) -> None:
+    def _north_u(self, p, a, out) -> None:
         """dy_u2q / biharmonic_u north ghost (reflect in a channel)."""
-        (_north if self.boundary == "periodic" else _north_reflect)(a, out)
+        (_north if self.boundary == "periodic" else _north_reflect)(p, a, out)
 
-    def _north_eta(self, a, out) -> None:
+    def _north_eta(self, p, a, out) -> None:
         """dy_eta2v / ay_eta2v north ghost (reflect in a channel)."""
-        (_north if self.boundary == "periodic" else _north_reflect)(a, out)
+        (_north if self.boundary == "periodic" else _north_reflect)(p, a, out)
 
-    def _south_v(self, a, out) -> None:
+    def _south_v(self, p, a, out) -> None:
         """dy_v2eta / ay_v2eta / biharmonic_v south ghost (zero walls)."""
-        (_south if self.boundary == "periodic" else _south_zero)(a, out)
+        (_south if self.boundary == "periodic" else _south_zero)(p, a, out)
 
-    def _south_q(self, a, out) -> None:
+    def _south_q(self, p, a, out) -> None:
         """a4_q2u south ghost (zero vorticity on the wall)."""
-        (_south if self.boundary == "periodic" else _south_zero)(a, out)
+        (_south if self.boundary == "periodic" else _south_zero)(p, a, out)
 
     # -- composite helpers ---------------------------------------------------
-    # The 4-point averages are needed twice per tendency evaluation
-    # (once on the scaled field, once on the unscaled one), so they run
-    # on a (2, ny, nx) block — same stencil, both layers in one pass.
-    def _v_bar_u2(self, v2, out2, t1, t2) -> None:
-        """rhs.v_bar_u (periodic) / ChannelOps.v_bar_u, batched."""
-        p = self.p
+    def _bars4(self, p, x4, out4, t1, t2) -> None:
+        """The 4-point averages rhs.v_bar_u of ``x4[:2]`` and rhs.u_bar_v
+        of ``x4[2:]`` (ChannelOps' in a channel), on one (4, ny, nx)
+        block: both are ``quarter * (x + s(x) + s'(x) + s'(s(x)))``
+        with their own shifts, so the sums and the rounding batch."""
+        v2, u2 = slice(0, 2), slice(2, 4)
         if self.boundary == "periodic":
-            # quarter * (v + south(v) + west(v) + west(south(v)))
-            _south(v2, t1)
-            p.add(v2, t1, out2)
-            _west(v2, t2)
-            p.add(out2, t2, out2)
-            _west(t1, t2)
-            p.add(out2, t2, out2)
+            # v: quarter * (v + south(v) + west(v) + west(south(v)))
+            # u: quarter * (u + east(u) + north(u) + north(east(u)))
+            _south(p, x4[v2], t1[v2])
+            _east(p, x4[u2], t1[u2])
+            p.add(x4, t1, out4)
+            _west(p, x4[v2], t2[v2])
+            _north(p, x4[u2], t2[u2])
+            p.add(out4, t2, out4)
+            _west(p, t1[v2], t2[v2])
+            _north(p, t1[u2], t2[u2])
         else:
-            # quarter * (v + west(v) + south0(v) + west(south0(v)))
-            _west(v2, t2)
-            p.add(v2, t2, out2)
-            _south_zero(v2, t1)
-            p.add(out2, t1, out2)
-            _west(t1, t2)
-            p.add(out2, t2, out2)
-        p.mul_p2s(self.quarter, out2, out2)
-
-    def _u_bar_v2(self, u2, out2, t1, t2) -> None:
-        """rhs.u_bar_v (periodic) / ChannelOps.u_bar_v, batched."""
-        p = self.p
-        if self.boundary == "periodic":
-            # quarter * (u + east(u) + north(u) + north(east(u)))
-            _east(u2, t1)
-            p.add(u2, t1, out2)
-            _north(u2, t2)
-            p.add(out2, t2, out2)
-            _north(t1, t2)
-            p.add(out2, t2, out2)
-        else:
-            # quarter * (u + east(u) + north_r(u) + east(north_r(u)))
-            _east(u2, t2)
-            p.add(u2, t2, out2)
-            _north_reflect(u2, t1)
-            p.add(out2, t1, out2)
-            _east(t1, t2)
-            p.add(out2, t2, out2)
-        p.mul_p2s(self.quarter, out2, out2)
+            # v: quarter * (v + west(v) + south0(v) + west(south0(v)))
+            # u: quarter * (u + east(u) + north_r(u) + east(north_r(u)))
+            _west(p, x4[v2], t2[v2])
+            _east(p, x4[u2], t2[u2])
+            p.add(x4, t2, out4)
+            _south_zero(p, x4[v2], t1[v2])
+            _north_reflect(p, x4[u2], t1[u2])
+            p.add(out4, t1, out4)
+            _west(p, t1[v2], t2[v2])
+            _east(p, t1[u2], t2[u2])
+        p.add(out4, t2, out4)
+        p.mul_p2s(self.quarter, out4, out4)
 
     # Mixed-ghost shifts for the (u, v) pair block: layer 0 carries u's
     # boundary treatment (reflect), layer 1 carries v's (zero walls) —
     # the interior copy is shared, so the biharmonics batch as well.
-    def _north_uv(self, a2, out2) -> None:
+    def _north_uv(self, p, a2, out2) -> None:
         if self.boundary == "periodic":
-            _north(a2, out2)
+            _north(p, a2, out2)
         else:
-            out2[..., :-1, :] = a2[..., 1:, :]
-            out2[0, -1, :] = a2[0, -1, :]
-            out2[1, -1, :] = 0
+            p.copy(out2[..., :-1, :], a2[..., 1:, :])
+            p.copy(out2[0, -1, :], a2[0, -1, :])
+            p.copy(out2[1, -1, :], 0)
 
-    def _south_uv(self, a2, out2) -> None:
+    def _south_uv(self, p, a2, out2) -> None:
         if self.boundary == "periodic":
-            _south(a2, out2)
+            _south(p, a2, out2)
         else:
-            out2[..., 1:, :] = a2[..., :-1, :]
-            out2[0, 0, :] = a2[0, 0, :]
-            out2[1, 0, :] = 0
+            p.copy(out2[..., 1:, :], a2[..., :-1, :])
+            p.copy(out2[0, 0, :], a2[0, 0, :])
+            p.copy(out2[1, 0, :], 0)
 
-    def _laplace2(self, a2, out2, t2) -> None:
+    def _laplace2(self, p, a2, out2, t2) -> None:
         """grid.laplace / ChannelOps._laplace: ((n+s)+w)+e - 4a, on the
         (u, v) pair block."""
-        p = self.p
-        self._north_uv(a2, t2)
-        self._south_uv(a2, out2)
+        self._north_uv(p, a2, t2)
+        self._south_uv(p, a2, out2)
         p.add(t2, out2, out2)
-        _west(a2, t2)
+        _west(p, a2, t2)
         p.add(out2, t2, out2)
-        _east(a2, t2)
+        _east(p, a2, t2)
         p.add(out2, t2, out2)
         p.mul_p2g(self.four, a2, t2)
         p.sub(out2, t2, out2)
 
-    def _biharmonic2(self, a2, out2, t1, t2) -> None:
+    def _biharmonic2(self, p, a2, out2, t1, t2) -> None:
         """biharmonic_u/biharmonic_v on the (u, v) pair block."""
-        self._laplace2(a2, t1, t2)
-        self._laplace2(t1, out2, t2)
+        self._laplace2(p, a2, t1, t2)
+        self._laplace2(p, t1, out2, t2)
 
     # ------------------------------------------------------------------
-    def __call__(self, f3, o3) -> None:
-        """Write the per-step increments of the scaled state block
-        ``f3 = (u, v, eta)`` into the distinct block ``o3``.
+    def __call__(self, p: _DirectPrims, f3, o3) -> None:
+        """Emit the calls that write the per-step increments of the
+        scaled state block ``f3 = (u, v, eta)`` into the distinct block
+        ``o3``.
 
         The body is the reference expression tree flattened into
         elementary ops; independent u-path/v-path computations run
         batched on pair blocks (per-value dataflow — and therefore the
         rounding of every individual value — is untouched by the
         regrouping; the comments track the reference lines)."""
-        p = self.p
         u, v, eta = f3[0], f3[1], f3[2]
         du, dv = o3[0], o3[1]
         un3 = self.un3
-        un_u, un_eta = self.un_u, self.un_eta
-        A, B, C, D, E, F = self.A, self.B, self.C, self.D, self.E, self.F
-        B2, C2, P2, V2, W2 = self.B2, self.C2, self.P2, self.V2, self.W2
+        un_u, un_v, un_eta = un3
+        A, DB, G2, PE, Q4, X4, W4 = (
+            self.A, self.DB, self.G2, self.PE, self.Q4, self.X4, self.W4
+        )
+        P2, EF = PE[:2], PE[2:]
+        C2, B2 = Q4[:2], Q4[2:]
+        C, D, B, E, F = G2[1], DB[0], DB[1], EF[0], EF[1]
 
         # u_un = u * inv_s  (one scaled x one unscaled factor, §III-B)
         p.mul_p2s(f3, self.inv_s, un3)
 
         # zeta = (west(v) - v) - (north(u) - u)                     -> A
-        _west(v, P2[0])
-        self._north_u(u, P2[1])
+        _west(p, v, P2[0])
+        self._north_u(p, u, P2[1])
         p.sub(P2, f3[1::-1], P2)        # rows: (.. - v), (.. - u)
         p.sub(P2[0], P2[1], A)
 
         # ke = half*(ax_u2eta(u*u_un) + ay_v2eta(v*v_un))           -> C
         p.mul(f3[:2], un3[:2], B2)
-        _east(B2[0], C2[0])
-        self._south_v(B2[1], C2[1])
+        _east(p, B2[0], C2[0])
+        self._south_v(p, B2[1], C2[1])
         p.add(B2, C2, C2)
         p.mul_p2s(self.half, C2, C2)
         p.add(C2[0], C2[1], C)
         p.mul_p2s(self.half, C, C)
 
         # p = cg*eta + cz*ke                                        -> D
-        p.mul(self.cg, eta, D)
-        p.mul(self.cz, C, B)
+        p.copy(G2[0], eta)
+        p.mul(self.cg_cz, G2, DB)       # (D, B) = (cg*eta, cz*ke)
         p.add(D, B, D)
 
         # adv_u = cf_u*vbar(v) + a4_q2u(cz*zeta)*vbar(v_un)         -> du
         # adv_v = -(cf_q*ubar(u) + a4_q2v(cz*zeta)*ubar(u_un))      -> dv
-        np.copyto(V2[0], v)
-        np.copyto(V2[1], self.un_v)
-        self._v_bar_u2(V2, W2, B2, C2)  # (vbar(v), vbar(v_un))
-        p.mul(self.cf_u, W2[0], du)
+        p.copy(X4[0], v)
+        p.copy(X4[1], un_v)
+        p.copy(X4[2], u)
+        p.copy(X4[3], un_u)
+        # W4 = (vbar(v), vbar(v_un), ubar(u), ubar(u_un))
+        self._bars4(p, X4, W4, PE, Q4)
+        p.mul(self.cf_uq, W4[0::2], o3[:2])
         p.mul(self.cz, A, A)            # A := cz*zeta (zeta dead)
-        self._south_q(A, P2[0])
-        _east(A, P2[1])
+        self._south_q(p, A, P2[0])
+        _east(p, A, P2[1])
         p.add(A, P2, P2)
         p.mul_p2s(self.half, P2, P2)    # P2 = (a4_q2u, a4_q2v)(cz*zeta)
-        p.mul(P2[0], W2[1], E)
-        p.add(du, E, du)
-        np.copyto(V2[0], u)
-        np.copyto(V2[1], un_u)
-        self._u_bar_v2(V2, W2, B2, C2)  # (ubar(u), ubar(u_un))
-        p.mul(self.cf_q, W2[0], dv)
-        p.mul(P2[1], W2[1], E)
-        p.add(dv, E, dv)
+        p.mul(P2, W4[1::2], EF)
+        p.add(o3[:2], EF, o3[:2])
         p.neg(dv, dv)
 
         # du -= dx_eta2u(p);  dv -= dy_eta2v(p)
-        _west(D, P2[0])
-        self._north_eta(D, P2[1])
+        _west(p, D, P2[0])
+        self._north_eta(p, D, P2[1])
         p.sub(P2, D, P2)
         p.sub(o3[:2], P2, o3[:2])
         # du -= (cr_hi*u)*cr_lo;  dv -= (cr_hi*v)*cr_lo  (boosted drag)
@@ -560,54 +602,33 @@ class FusedTendencies:
         p.mul_p2s(B2, self.cr_lo, B2)
         p.sub(o3[:2], B2, o3[:2])
         # du += -cb*bih_u(u) + cw;  dv -= cb*bih_v(v)
-        self._biharmonic2(f3[:2], W2, V2, C2)
+        W2 = W4[:2]
+        self._biharmonic2(p, f3[:2], W2, X4[:2], C2)
         p.mul(self.cb, W2, W2)
         p.sub(o3[:2], W2, o3[:2])
         p.add(du, self.cw, du)
         if self.boundary == "channel":
-            dv[-1, :] = 0  # enforce_walls: no flow through the wall
+            p.copy(dv[-1, :], 0)  # enforce_walls: no flow through the wall
 
         # flux_x = u * ax_eta2u(eta_un); flux_y = v * ay_eta2v(..)  -> P2
-        _west(un_eta, P2[0])
-        self._north_eta(un_eta, P2[1])
+        _west(p, un_eta, P2[0])
+        self._north_eta(p, un_eta, P2[1])
         p.add(un_eta, P2, P2)
         p.mul_p2s(self.half, P2, P2)
         p.mul(f3[:2], P2, P2)
 
         # deta = -(ch*(dx_u2eta(u)+dy_v2eta(v))
         #          + cz*(dx_u2eta(flux_x)+dy_v2eta(flux_y)))
-        _east(u, C2[0])
-        self._south_v(v, C2[1])
+        _east(p, u, C2[0])
+        self._south_v(p, v, C2[1])
         p.sub(f3[:2], C2, C2)
-        p.add(C2[0], C2[1], E)
-        p.mul(self.ch, E, E)
-        _east(P2[0], B2[0])
-        self._south_v(P2[1], B2[1])
+        _east(p, P2[0], B2[0])
+        self._south_v(p, P2[1], B2[1])
         p.sub(P2, B2, B2)
-        p.add(B2[0], B2[1], F)
-        p.mul(self.cz, F, F)
+        p.add(Q4[0::2], Q4[1::2], EF)   # (E, F) = (C2[0]+C2[1], B2[0]+B2[1])
+        p.mul(self.ch_cz, EF, EF)       # (ch*E, cz*F)
         p.add(E, F, E)
         p.neg(E, o3[2])
-
-    # ------------------------------------------------------------------
-    def flush_subnormals_(self, x: np.ndarray) -> None:
-        """Shadow-mode flush_to_zero: Float16 subnormals become signed
-        zero (mirrors :func:`repro.ftypes.subnormals.flush_to_zero`)."""
-        _flush16_(x, self.p.rounder)
-
-
-def _flush16_(x: np.ndarray, r: _Rounder16) -> None:
-    """Flush Float16 subnormals of a shadow array to signed zero, using
-    the scratch of a rounder with at least ``x.size`` elements."""
-    xf = x.reshape(-1)
-    n = xf.size
-    m, m2, s = r._m[:n], r._m2[:n], r._vn[:n]
-    np.abs(xf, out=s)
-    np.less(s, _F16_MIN_NORMAL, out=m)
-    np.not_equal(xf, 0, out=m2)
-    np.logical_and(m, m2, out=m)
-    if m.any():
-        np.copysign(np.float32(0.0), xf, where=m, out=xf)
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +638,10 @@ class FusedRK4:
     """Allocation-free RK4 over :class:`FusedTendencies`, replicating
     :class:`repro.shallowwaters.integration.RK4Integrator` bit-for-bit
     (standard / compensated / mixed updates, optional subnormal flush).
+
+    ``step()`` replays a program compiled from :meth:`_record`; Float16
+    steppers keep a clean and a general program (see the module
+    docstring for when each runs).
     """
 
     def __init__(self, params: ShallowWaterParams, coeffs: CastCoefficients,
@@ -629,8 +654,6 @@ class FusedRK4:
         self.kernel = FusedTendencies(
             shape, self.dtype, params.boundary, coeffs
         )
-        kr = self.kernel.p.rounder
-        kflag = kr._flag if kr is not None else None
         # The state-update arithmetic is identical for u, v and eta, so
         # the three fields live in one (3, ny, nx) block and every
         # stage/increment/TwoSum op (and its Float16 rounding pass) runs
@@ -638,15 +661,10 @@ class FusedRK4:
         # these array sizes the rounder is dispatch-bound, so batching
         # is a ~3x cut on its cost.
         blk = (3,) + shape
-        shadow_state = self.state_dtype == np.float16
-        self._sp = (
-            _ShadowPrims(self.state_dtype, blk, flag=kflag)
-            if shadow_state
-            else _DirectPrims(np.dtype(self.state_dtype), blk)
-        )
+        self._shadow_state = self.state_dtype == np.float16
         #: mixed mode narrows the float32 state to Float16 for the RHS.
         self._narrow = self.state_dtype != self.dtype
-        d = self._sp.dtype
+        d = np.dtype(np.float32) if self._shadow_state else state_dtype
         self._S = np.empty(blk, d)
         self._carry = (
             np.zeros(blk, d) if self.mode == "compensated" else None
@@ -654,14 +672,6 @@ class FusedRK4:
         self._k = [np.empty(blk, d) for _ in range(4)]
         self._stage = np.empty(blk, d)
         self._rhs_in = np.empty(blk, np.float32) if self._narrow else None
-        #: block-shaped rounder for the mixed-mode state narrowing
-        #: (shares the kernel rounder's clean flag).
-        self._nr = _Rounder16(blk, flag=kflag) if self._narrow else None
-        #: whichever block-shaped rounder exists provides the scratch
-        #: for block flushes (one exists in every Float16 mode).
-        self._blk_rounder = (
-            self._sp.rounder if self._sp.rounder is not None else self._nr
-        )
         self._t1 = np.empty(blk, d)
         self._t2 = np.empty(blk, d)
         self._flush_k = (
@@ -670,18 +680,55 @@ class FusedRK4:
         self._flush_state = (
             params.flush_subnormals and self.state_dtype == np.float16
         )
+        #: one rounder (scratch plus screen), sized for the kernel's
+        #: (4, ny, nx) blocks, serves every Float16 op of both programs;
+        #: ``None`` for float32/float64 steppers.
+        self._rounder = (
+            _Rounder16(4 * int(np.prod(shape))) if self.kernel.shadow else None
+        )
+        #: the state (and carry) at the start of a clean step, restored
+        #: when its screen fires.
+        self._S0 = (
+            np.empty_like(self._S) if self._rounder is not None else None
+        )
+        self._carry0 = (
+            np.empty_like(self._carry)
+            if self._rounder is not None and self._carry is not None
+            else None
+        )
+        self._program = self._compile(general=False)
+        #: compiled on the first flagged step (most runs never need it).
+        self._general: Optional[Program] = None
+        #: whether the next step starts on the clean program.
+        self._clean = True
 
     # ------------------------------------------------------------------
+    def _compile(self, general: bool) -> Program:
+        emit = _Recorder()
+        r = self._rounder
+        kp = (_ShadowPrims(emit, r, general) if self.kernel.shadow
+              else _DirectPrims(emit, self.kernel.compute_dtype))
+        sp = (_ShadowPrims(emit, r, general) if self._shadow_state
+              else _DirectPrims(emit, self.state_dtype))
+        if r is not None and not general:
+            sp.copy(self._S0, self._S)
+            if self._carry0 is not None:
+                sp.copy(self._carry0, self._carry)
+        self._record(kp, sp)
+        return emit.ops
+
     def bind(self, state: State) -> None:
         np.copyto(self._S[0], state.u)  # upcasts exactly in shadow mode
         np.copyto(self._S[1], state.v)
         np.copyto(self._S[2], state.eta)
         if self._carry is not None:
             self._carry.fill(0)
-        kr = self.kernel.p.rounder
-        if kr is not None:
-            # Shared flag: propagates to the state/narrowing rounders.
-            kr.clean = bool(np.isfinite(self._S).all())
+        self._clean = self._rounder is None or self._finite()
+
+    def _finite(self) -> bool:
+        return bool(np.isfinite(self._S).all()) and (
+            self._carry is None or bool(np.isfinite(self._carry).all())
+        )
 
     def current_state(self) -> State:
         if self.state_dtype == np.float16:
@@ -691,37 +738,38 @@ class FusedRK4:
         return State(self._S[0], self._S[1], self._S[2])
 
     # ------------------------------------------------------------------
-    def _eval(self, block, out) -> None:
+    def _eval(self, kp, block, out) -> None:
         """One tendency evaluation (RK stage), mirroring
         ``RK4Integrator._eval``; ``block``/``out`` are (3, ny, nx)."""
         if self._narrow:
             # Mixed mode: round the float32 state to the Float16 grid
             # (the reference's ``astype(float16)``) before the RHS.
-            np.copyto(self._rhs_in, block)
-            self._nr.round_(self._rhs_in)
+            kp.copy(self._rhs_in, block)
+            kp.round_(self._rhs_in)
             block = self._rhs_in
-        self.kernel(block, out)
+        self.kernel(kp, block, out)
         if self._flush_k:
-            _flush16_(out, self._blk_rounder)
+            kp.flush_(out)
         # Mixed mode's widening astype(float32) is the identity here:
         # shadow tendencies are already Float16-valued float32.
 
-    def step(self) -> State:
-        sp = self._sp
+    def _record(self, kp, sp) -> None:
+        """The RK4 step, emitted into kernel prims ``kp`` and state
+        prims ``sp``."""
         half = sp.scalar(0.5)
         sixth = sp.scalar(1.0 / 6.0)
         two = sp.scalar(2.0)
         S, k, stage = self._S, self._k, self._stage
 
-        self._eval(S, k[0])
+        self._eval(kp, S, k[0])
         sp.mul_p2s(half, k[0], stage)
         sp.add(S, stage, stage)
-        self._eval(stage, k[1])
+        self._eval(kp, stage, k[1])
         sp.mul_p2s(half, k[1], stage)
         sp.add(S, stage, stage)
-        self._eval(stage, k[2])
+        self._eval(kp, stage, k[2])
         sp.add(S, k[2], stage)
-        self._eval(stage, k[3])
+        self._eval(kp, stage, k[3])
 
         # inc = sixth * (k1 + two*(k2 + k3) + k4)       -> stage
         inc = stage
@@ -744,9 +792,26 @@ class FusedRK4:
             sp.sub(s1, t2, t2)        # bp = s - ap
             sp.sub(y, t2, t2)         # db = y - bp
             sp.add(v, t2, c)          # e = da + db
-            np.copyto(S, s1)
+            sp.copy(S, s1)
         if self._flush_state:
-            _flush16_(S, self._blk_rounder)
+            sp.flush_(S)
+
+    def step(self) -> State:
+        r = self._rounder
+        with np.errstate(invalid="ignore", over="ignore"):
+            if self._clean:
+                _replay(self._program)
+                if r is None or r.smax.max() < _SCREEN_BITS:
+                    return self.current_state()
+                # The screen fired: undo the step and redo it exactly.
+                r.smax.fill(0)
+                np.copyto(self._S, self._S0)
+                if self._carry0 is not None:
+                    np.copyto(self._carry, self._carry0)
+            if self._general is None:
+                self._general = self._compile(general=True)
+            _replay(self._general)
+        self._clean = self._finite()
         return self.current_state()
 
 

@@ -9,6 +9,11 @@ stepper is reached only through :func:`reference_integrator`, which
 makes ``kernels.make_fused`` decline for one integrator's ``bind``.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -174,6 +179,18 @@ def test_fused_matches_reference_bitwise(name):
         assert _states_equal(a, b), f"{name} diverged at step {step}"
 
 
+def _states_match(a: State, b: State) -> bool:
+    """Bitwise equal, except that NaNs compare by position only."""
+    for fa, fb in ((a.u, b.u), (a.v, b.v), (a.eta, b.eta)):
+        fa, fb = np.asarray(fa), np.asarray(fb)
+        nan_a, nan_b = np.isnan(fa), np.isnan(fb)
+        if not np.array_equal(nan_a, nan_b):
+            return False
+        if not _bits_equal(fa[~nan_a], fb[~nan_b]):
+            return False
+    return True
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_blowup_parity():
     """An overflowing Float16 run (scaling far too large) must blow up
@@ -192,14 +209,131 @@ def test_blowup_parity():
     for _ in range(12):
         a = ref.step()
         b = fus.step()
-        for fa, fb in ((a.u, b.u), (a.v, b.v), (a.eta, b.eta)):
-            fa, fb = np.asarray(fa), np.asarray(fb)
-            nan_a, nan_b = np.isnan(fa), np.isnan(fb)
-            assert np.array_equal(nan_a, nan_b)
-            ok = ~nan_a
-            assert _bits_equal(fa[ok], fb[ok])
-            saw_nonfinite = saw_nonfinite or (~np.isfinite(fa)).any()
+        assert _states_match(a, b)
+        saw_nonfinite = saw_nonfinite or not all(
+            np.isfinite(np.asarray(f)).all() for f in (a.u, a.v, a.eta)
+        )
     assert saw_nonfinite, "blow-up config never overflowed"
+
+
+def _spy_programs(monkeypatch, fused):
+    """Record, per replay, whether the clean (True) or the general
+    (False) program of ``fused`` ran."""
+    ran = []
+    replay = kernels._replay
+
+    def spy(ops):
+        ran.append(ops is fused._program)
+        replay(ops)
+
+    monkeypatch.setattr(kernels, "_replay", spy)
+    return ran
+
+
+@pytest.mark.parametrize("integration", ["standard", "compensated"])
+def test_overflow_after_clean_steps(monkeypatch, integration):
+    """A wind-forced Float16 run steps cleanly, then overflows at a
+    later step: the flagged step is redone on the general program, and
+    every step matches the reference through the switch."""
+    p = ShallowWaterParams(
+        nx=32, ny=16, dtype="float16", scaling=1024.0,
+        integration=integration, wind_amplitude=0.002,
+    )
+    ref = reference_integrator(p, ShallowWaterModel(p).initial_state("rest"))
+    fus = RK4Integrator(p)
+    fus.bind(ShallowWaterModel(p).initial_state("rest"))
+    ran = _spy_programs(monkeypatch, fus._fused)
+    first_nonfinite = None
+    for step in range(1, 9):
+        del ran[:]
+        with np.errstate(invalid="ignore", over="ignore"):
+            a = ref.step()
+        b = fus.step()
+        assert _states_match(a, b), f"diverged at step {step}"
+        finite = all(np.isfinite(np.asarray(f)).all()
+                     for f in (a.u, a.v, a.eta))
+        if step == 1:
+            assert ran == [True] and finite
+        if first_nonfinite is None and not finite:
+            first_nonfinite = step
+            assert ran == [True, False]
+        if first_nonfinite is not None and step > first_nonfinite:
+            assert ran == [False]  # stays general while non-finite
+    assert first_nonfinite is not None and first_nonfinite >= 2
+
+
+def test_flagged_finite_step_returns_to_clean(monkeypatch):
+    """State values in [32768, 65504] flag the screen without
+    overflowing: each step is redone on the general program, matches
+    the reference, and the next step starts on the clean program."""
+    p = ShallowWaterParams(
+        nx=32, ny=16, dtype="float16", scaling=1024.0,
+        integration="compensated",
+    )
+    init = ShallowWaterModel(p).initial_state("turbulence")
+    init = State(init.u, init.v,
+                 (init.eta.astype(np.float64) + 40000.0).astype(np.float16))
+    assert 32768 <= np.abs(init.eta).max() <= 65504
+    ref = reference_integrator(p, init)
+    fus = RK4Integrator(p)
+    fus.bind(init)
+    ran = _spy_programs(monkeypatch, fus._fused)
+    for step in range(3):
+        del ran[:]
+        a = ref.step()
+        b = fus.step()
+        assert _states_equal(a, b), f"diverged at step {step}"
+        assert np.isfinite(np.asarray(b.eta)).all()
+        assert ran == [True, False]
+        assert fus._fused._clean
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_general_program_matches_clean(monkeypatch, name):
+    """The general program, forced for every step, computes the same
+    bits as the clean one."""
+    p, init = CONFIGS[name]
+    clean = RK4Integrator(p)
+    clean.bind(ShallowWaterModel(p).initial_state(init))
+    clean_states = [
+        State(*(np.array(f) for f in (s.u, s.v, s.eta)))
+        for s in (clean.step() for _ in range(4))
+    ]
+    monkeypatch.setattr(kernels.FusedRK4, "_finite", lambda self: False)
+    general = RK4Integrator(p)
+    general.bind(ShallowWaterModel(p).initial_state(init))
+    ran = _spy_programs(monkeypatch, general._fused)
+    for step, want in enumerate(clean_states):
+        assert _states_equal(want, general.step()), f"step {step}"
+    if general._fused._rounder is not None:
+        assert ran == [False] * 4
+
+
+def test_program_sizes():
+    """Pin the numpy calls per step: the Float16 compensated step
+    (program plus one screen read) and the float64 step."""
+    sizes = {}
+    for name in ("f16-comp", "f64-periodic"):
+        p, init = CONFIGS[name]
+        integ = RK4Integrator(p)
+        integ.bind(ShallowWaterModel(p).initial_state(init))
+        sizes[name] = len(integ._fused._program)
+    assert sizes["f16-comp"] + 1 <= 2400
+    assert sizes["f64-periodic"] == 447
+
+
+def test_modelled_blowup_prints_no_runtime_warning():
+    """The Float16 overflow drill reports its blow-up through the model
+    and the guard; numpy's own overflow warnings stay silent."""
+    env = dict(os.environ, PYTHONPATH=str(
+        Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", "run", "fig4", "--guard", "repair",
+         "--guard-inject", "overflow16"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------

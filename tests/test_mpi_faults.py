@@ -7,6 +7,7 @@ as the fault-free path computes it; and a failed rank surfaces as a
 diagnostic RankFailedError instead of a hang.
 """
 
+import collections
 import dataclasses
 
 import pytest
@@ -361,6 +362,41 @@ class TestEngineFaults:
             return (yield comm.now())
 
         assert world.run(prog)[0] == pytest.approx(3e-3)
+
+    def test_per_rank_decisions_are_drawn_once_per_world(self, monkeypatch):
+        """Straggler and partition membership are pure per-rank hashes:
+        a world draws each rank's once, however many operations and
+        messages it runs."""
+        from repro.mpi import faults
+
+        calls = collections.Counter()
+        real = faults._hash01
+
+        def counting(seed, kind, *parts):
+            calls[kind] += 1
+            return real(seed, kind, *parts)
+
+        monkeypatch.setattr(faults, "_hash01", counting)
+        plan = FaultPlan(seed=3, straggler_fraction=0.5, straggler_factor=2.0,
+                         partition_fraction=0.5, partition_start=0.0,
+                         partition_duration=1e-5)
+        world = MPIWorld(nranks=4, faults=plan)
+
+        def prog(comm: Comm):
+            peer = comm.rank ^ 1
+            for _ in range(10):
+                yield comm.compute(1e-6)
+                if comm.rank % 2 == 0:
+                    yield comm.send(peer, nbytes=64)
+                    yield comm.recv(peer)
+                else:
+                    yield comm.recv(peer)
+                    yield comm.send(peer, nbytes=64)
+            return (yield comm.now())
+
+        world.run(prog)
+        assert calls["straggler"] == 4
+        assert calls["partition"] == 4
 
     def test_failed_rank_raises_rank_failed_not_hang(self):
         plan = FaultPlan(failed_ranks=(1,), recv_timeout=1e-3)
