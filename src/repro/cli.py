@@ -830,7 +830,10 @@ def _bench_list(args, *_):
     store_dir, store = _metric_store(args)
     if store is None:
         return None, 2
-    docs = store.load_last()  # quarantines what no longer decodes
+    try:
+        docs = store.load_last()  # quarantines what no longer decodes
+    except ValueError as exc:  # another schema version
+        return None, _error(str(exc))
     return {
         "store": store_dir,
         "corrupt_documents": len(store.corrupt_documents()),

@@ -20,24 +20,21 @@ semantics everywhere else.  Four layers, each exactly value-preserving:
    point in the same order — which is why faulted / traced / guarded
    runs stay byte-identical through this scalar path.
 
-3. **Wave commits.**  When every queued event is a rank-resume (no
-   deliveries or closures in flight), the engine pops the whole heap as
-   one *wave*, resumes the generators in heap order, and — if the wave
-   is a homogeneous lockstep round (all ``SendRecv`` with ``payload
-   None`` pairing bijectively inside the wave, or all ``Compute``) —
-   commits every rank's clock advance with vectorised numpy column
-   arithmetic: injection, per-destination ingress serialisation,
-   arrival, and recv completion as float64 array ops (bit-identical to
-   the scalar float chain).  Only the head of the wave that dispatches
-   before any resume it schedules comes due commits; the rest, and
-   any wave that cannot commit, is drained one by one in exact heap
-   order, so heterogeneous phases (tree reductions, linear gathers,
-   fold-ins) fall back to the object schedule.  A commit hands out
-   seqs in the order the object core creates the events, and queues a
-   delivery as a real event when a rank could run on before it pops.
-   Waves are
-   attempted only in *fast mode* — no faults, no tracing, no guard, no
-   recv timeout — so observability hooks always see the object core's
+3. **Wave commits.**  When every queued event is a rank resume (no
+   delivery or closure in flight), the engine pops the whole heap as
+   one *wave* and resumes the generators in heap order.  A wave in
+   which every active rank yields one equal Collective is committed
+   from its compiled table (layer 4).  Otherwise the head of the wave
+   that dispatches before any resume it schedules comes due is
+   committed in wave order if it has at least eight members, all
+   *neutral* ops (Compute / Now / Mark: each touches only its own
+   clock and schedules one resume).  The rest of the wave, and any
+   wave that cannot commit, is dispatched one by one in exact heap
+   order, interleaved with the events those dispatches schedule, so
+   point-to-point traffic and heterogeneous phases (tree reductions,
+   linear gathers, fold-ins) follow the object schedule.  Waves are
+   attempted only in *fast mode* (no faults, no tracing, no guard, no
+   recv timeout), so observability hooks always see the object core's
    exact event stream.
 
 4. **Compiled collectives.**  A wave in which every active rank yields
@@ -103,17 +100,13 @@ class BatchedEngine(Engine):
             except TypeError:
                 pass  # unhashable network: keep the private table
         self._ep_cache: Dict[Tuple[int, int, bool], float] = {}
-        #: flat rows for vector commits:
+        #: flat rows for fast-mode sends and column fallbacks:
         #: (lat, ser, rdzv, shm, hops, ep_send, ep_recv, protocol).
         self._row_cache: Dict[Tuple[int, int, int], tuple] = {}
-        #: counts of non-resume heap events.  Deliveries can be drained
-        #: ahead of a wave (they only complete recvs or fill mailboxes);
-        #: opaque closures cannot, so any of those disables waving.
+        #: counts of non-resume heap events: a wave is attempted only
+        #: while both are zero.
         self._n_deliver = 0
         self._n_other = 0
-        #: scalar events to process before re-attempting a wave, set
-        #: when a wave attempt bails without consuming the heap.
-        self._wave_cooldown = 0
         #: queued mailbox messages / posted irecvs anywhere — vector
         #: commits require both zero (a stale match would win first).
         self._mb_count = 0
@@ -130,9 +123,10 @@ class BatchedEngine(Engine):
         self._rpn = topo.ranks_per_node
         #: dense node-to-node hop counts (None for huge allocations).
         self._hops_mat = topo.hops_matrix()
-        #: (shm, base, per_hop) latency floors for the overtaking gate —
-        #: only trusted on the stock fault-free model, where any future
-        #: message s→d needs at least this much flight time.
+        #: (shm, base, per_hop) latency floors, which prove a compiled
+        #: collective's exits final and order its pops — only trusted on
+        #: the stock fault-free model, where any future message s→d
+        #: needs at least this much flight time.
         self._lat_floor = (
             (
                 self.network.shm_latency,
@@ -240,14 +234,12 @@ class BatchedEngine(Engine):
             if (
                 fast
                 and self._n_other == 0
-                and self._wave_cooldown == 0
+                and self._n_deliver == 0
                 and len(heap) > 1
-                and self._wave()
             ):
+                self._wave()
                 continue
             ev = pop(heap)
-            if self._wave_cooldown:
-                self._wave_cooldown -= 1
             kind = ev[2]
             if kind == _ADV:
                 self._advance(ev[3], ev[4])
@@ -260,177 +252,52 @@ class BatchedEngine(Engine):
         self._check_deadlock()
 
     # -- wave machinery -------------------------------------------------
-    def _wave(self) -> bool:
-        """Pop the heap as one resume wave and commit it batched.
+    def _wave(self) -> None:
+        """Pop the heap, which holds only rank resumes, as one wave.
 
-        Pending deliveries are drained first — sound only when each one
-        (a) directly completes a distinct waiting rank (no mailboxing,
-        no irecv matching), and (b) cannot be *overtaken*: the message's
-        source rank could wake first and inject a second same-key
-        message that arrives sooner — in the object core's strict time
-        order the earlier arrival wins the match (same-tag messages
-        overtake each other on fast wires).  (b) holds when the source's
-        earliest scheduled event plus the s→d minimum wire latency is no
-        earlier than the delivery's arrival: a competing message must be
-        sent after its source's next resume and still fly the same wire,
-        and ties go to the already-scheduled delivery (lower seq).
-        Soundness of the whole drain follows from the *first* competing
-        message in virtual time: its sender resumed via its scheduled
-        event (nothing competed before it), so the message lands at or
-        after the arrival it would have to beat.  If any delivery fails
-        either test the heap is left untouched and False is returned
-        (with a cooldown so the scan cost stays amortised).  After the
-        drain the wave is the complete set of pending resumes; a
-        homogeneous lockstep round commits vectorised, anything else
-        falls back to an exact-order scalar drain.
-
-        Values are then exact, but a drained delivery's resume got its
-        seq early: the object core numbers it when the delivery pops,
-        after whatever pops before it.  Only equal-time ties read seqs.
-        A committed wave consumes the drained resumes as members, so
-        their seqs only order the wave, where early seqs sort the same
-        way.  The scalar drain re-numbers each one as it passes the
-        delivery's key.
-
-        Once a neutral member's resume comes due, the object core runs
-        that rank on before any later member dispatches, so only the
-        members before that point (the head) may commit; the rest go
-        through the scalar drain behind the commit.
+        The generators are resumed in heap order.  If every active rank
+        yields one equal Collective, the wave commits from its compiled
+        table; any other Collective is expanded into its generator.
+        Then, once a neutral member's resume comes due, the object core
+        runs that rank on before any later member dispatches, so only
+        the members before that point (the head) may commit: all
+        neutral, and at least :data:`_MIN_VECTOR_WAVE` of them.  What is
+        not committed is dispatched by :meth:`_drain_scalar`.
         """
         heap = self._events
-        states = self._states
-        if self._n_deliver:
-            # Earliest scheduled event per rank (the heap is pure
-            # ADV/DELIVER here — _loop gates on _n_other == 0 — so ev[3]
-            # is always the owning rank).
-            earliest: Dict[int, float] = {}
-            for ev in heap:
-                t0 = earliest.get(ev[3])
-                if t0 is None or ev[0] < t0:
-                    earliest[ev[3]] = ev[0]
-            lf = self._lat_floor
-            hm = self._hops_mat
-            rpn = self._rpn
-            seen = set()
-            for ev in heap:
-                if ev[2] != _ADV:
-                    dest = ev[3]
-                    msg = ev[4]
-                    st = states[dest]
-                    src = msg.src
-                    if states[src].done:
-                        src_ok = True  # finished ranks cannot send again
-                    else:
-                        src_t = earliest.get(src)
-                        if src_t is None:
-                            src_ok = False
-                        elif src_t >= ev[0]:
-                            src_ok = True
-                        elif lf is None:
-                            src_ok = False
-                        else:
-                            sn, dn = src // rpn, dest // rpn
-                            if sn == dn:
-                                lat = lf[0]
-                            elif hm is not None:
-                                lat = lf[1] + int(hm[sn, dn]) * lf[2]
-                            else:
-                                lat = lf[1]
-                            src_ok = src_t + lat >= ev[0]
-                    if (
-                        st.irecv_posted
-                        or st.waiting != (msg.src, msg.tag)
-                        or dest in seen
-                        or not src_ok
-                    ):
-                        self._wave_cooldown = max(self._n_deliver, 1)
-                        return False
-                    seen.add(dest)
-            first = sorted(heap)
-            del heap[:]
-            wave: List[tuple] = []
-            drained: List[tuple] = []
-            for ev in first:
-                if ev[2] == _ADV:
-                    wave.append(ev)
-                else:
-                    self._n_deliver -= 1
-                    self._deliver(ev[3], ev[4])
-                    drained.append((ev[0], ev[1], ev[3]))
-            # resumes the drained deliveries just scheduled
-            wave.extend(heap)
-            del heap[:]
-            wave.sort()
-        else:
-            wave = sorted(heap)
-            del heap[:]
-            drained = []
+        wave = sorted(heap)
+        del heap[:]
         resume = self._resume
         ops = [resume(ev[3], ev[4], False) for ev in wave]
         if Collective in {op.__class__ for op in ops}:
-            if not drained and self._commit_collective(wave, ops):
-                return True
+            if self._commit_collective(wave, ops):
+                return
             for i, op in enumerate(ops):
                 if op.__class__ is Collective:
                     self._enter(wave[i][3], op)
                     ops[i] = resume(wave[i][3], None)
-        sr: List[int] = []
-        batchable = True
-        # Members from ``cut`` on dispatch, in the object core, only after
-        # an earlier neutral member's resume has come due and its rank has
-        # run on; they are left to the scalar drain.
         cut = len(wave)
         due = float("inf")
         cpu = self._cpu
         for i, ev in enumerate(wave):
             op = ops[i]
-            if op is None or i >= cut:
+            if op is None:
                 continue
             if ev[0] > due:
                 cut = i
-                continue
+                break
             cls = op.__class__
-            # Members are batchable when they are benchmark-path
-            # SendRecvs or *neutral* ops — Compute / Now / Mark dispatch
-            # touches nothing shared (own clock + one resume event), so
-            # those commit in wave order.
-            if cls is SendRecv:
-                if op.send_payload is None:
-                    sr.append(i)
-                else:
-                    batchable = False
-            elif cls is Compute:
-                if op.seconds < 0:
-                    batchable = False  # scalar path raises the error
-                else:
-                    due = min(due, ev[0] + cpu(ev[3], op.seconds))
+            if cls is Compute and op.seconds >= 0:
+                due = min(due, ev[0] + cpu(ev[3], op.seconds))
             elif cls is Now or cls is Mark:
                 due = min(due, ev[0])
             else:
-                batchable = False
-        if cut < len(wave) and (
-            {d[2] for d in drained} & {ev[3] for ev in wave[cut:]}
-        ):
-            # the scalar drain would number that resume after the seqs
-            # a commit of the head hands out
-            batchable = False
-        if batchable and cut >= _MIN_VECTOR_WAVE:
-            head = wave[:cut]
-            if not sr:
-                self._commit_neutral_wave(head, ops)
-                committed = True
-            else:
-                committed = (
-                    self._mb_count == 0
-                    and self._n_posted == 0
-                    and self._commit_sendrecv_wave(head, ops, sr)
-                )
-            if committed:
-                if cut < len(wave):
-                    self._drain_scalar(wave[cut:], ops[cut:], [])
-                return True
-        self._drain_scalar(wave, ops, drained)
-        return True
+                cut = 0  # the scalar path dispatches (or raises) it
+                break
+        if cut >= _MIN_VECTOR_WAVE:
+            self._commit_neutral_wave(wave[:cut], ops)
+            wave, ops = wave[cut:], ops[cut:]
+        self._drain_scalar(wave, ops)
 
     def _commit_collective(self, wave: List[tuple], ops: List[Any]) -> bool:
         """Commit a wave in which every active rank yields one equal
@@ -750,238 +617,33 @@ class BatchedEngine(Engine):
         piped = np.array([ep(r, nb, True) for r in everyone])[ranks]
         return np.where(rdzv, piped, eager)
 
-    def _commit_sendrecv_wave(
-        self, wave: List[tuple], ops: List[Any], sr: List[int]
-    ) -> bool:
-        """Vector-commit a lockstep pairwise-exchange round.
-
-        ``sr`` indexes the SendRecv members; the rest of the wave must
-        be neutral (committed here too).  Requires a full bijective
-        pairing *within* the SendRecv subset and that every computed
-        completion strictly follows the latest member resume (otherwise
-        the object core could interleave another dispatch into this
-        round).  Returns False — with no state mutated — when
-        ineligible.
-        """
-        m = len(sr)
-        nranks = self.nranks
-        srcs = np.fromiter((wave[w][3] for w in sr), np.intp, count=m)
-        dests = np.fromiter((ops[w].dest for w in sr), np.intp, count=m)
-        sources = np.fromiter((ops[w].source for w in sr), np.intp, count=m)
-        stags = np.fromiter((ops[w].send_tag for w in sr), np.int64, count=m)
-        rtags = np.fromiter((ops[w].recv_tag for w in sr), np.int64, count=m)
-        nb = np.fromiter((ops[w].send_nbytes for w in sr), np.int64, count=m)
-        if (
-            dests.min() < 0
-            or dests.max() >= nranks
-            or sources.min() < 0
-            or sources.max() >= nranks
-            or (dests == srcs).any()
-        ):
-            return False  # scalar path raises the proper error
-        # Bijective intra-wave pairing, checked in both directions via
-        # the inverse permutation (member ranks are unique, so duplicate
-        # partners fail the source/tag equations).
-        perm = np.full(nranks, -1, dtype=np.intp)
-        perm[srcs] = np.arange(m, dtype=np.intp)
-        j = perm[dests]
-        pair = perm[sources]
-        if j.min() < 0 or pair.min() < 0:
-            return False
-        if not (
-            (sources[j] == srcs).all()
-            and (rtags[j] == stags).all()
-            and (dests[pair] == srcs).all()
-            and (stags[pair] == rtags).all()
-        ):
-            return False
-
-        lat, ser, rdzv, shm, hops, eps, epr = self._columns(srcs, dests, nb)
-        bytes_sent = int(nb.sum())
-        max_hops = int(hops.max())
-        n_shm = int(shm.sum())
-        n_rdzv = int(rdzv.sum())
-        t = np.fromiter((wave[w][0] for w in sr), np.float64, count=m)
-        dl = dests.tolist()
-        ingress_free = self._ingress_free
-
-        # Identical float64 chain to the scalar path, one column at a
-        # time: inject, head-of-message flight, ingress serialisation
-        # (each dest receives exactly one message — the pairing is a
-        # bijection — so the gather/scatter cannot race), arrival.
-        inject = t + eps
-        head = inject + lat
-        start = np.maximum(head, np.array([ingress_free[d] for d in dl]))
-        arrival = np.where(shm, head + ser, start + ser)
-        send_done = np.where(rdzv, arrival, inject)
-        # Member i's resume charges *its own* receive endpoint for the
-        # *incoming* message — row pair[i]'s ep_recv (that row's dest is
-        # i, its nbytes/protocol are the incoming message's).
-        epr = epr[pair]
-        incoming = arrival[pair]
-        done = np.maximum(np.maximum(send_done, t), incoming) + epr
-        if not done.min() > wave[-1][0]:
-            return False  # a completion could overtake a member resume
-        neutral = (
-            self._neutral_resumes(wave, ops, frozenset(sr))
-            if m != len(wave) else []
-        )
-
-        arrival_f = arrival.tolist()
-        ser_f = ser.tolist()
-        done_f = done.tolist()
-        ingress_busy = self._ingress_busy
-        shm_f = shm.tolist()
-        for i in range(m):
-            if not shm_f[i]:
-                d = dl[i]
-                ingress_free[d] = arrival_f[i]
-                ingress_busy[d] += ser_f[i]
-
-        s = self.stats
-        s.messages += m
-        s.bytes_sent += bytes_sent
-        s.shm_messages += n_shm
-        s.rendezvous_messages += n_rdzv
-        s.eager_messages += m - n_shm - n_rdzv
-        s.max_hops = max(s.max_hops, max_hops)
-        sends = s.sends_by_rank
-        for w in sr:
-            r = wave[w][3]
-            sends[r] = sends.get(r, 0) + 1
-
-        # Events get their seqs in the order the object core creates
-        # them.  Dispatches run in wave order at the members' resume
-        # times: a neutral member's resume, a SendRecv member's outgoing
-        # delivery and then, if its incoming message already landed (a
-        # mailbox hit), its resume.  Any other SendRecv resume is created
-        # when its incoming delivery pops: by arrival, after equal-time
-        # dispatches (the delivery's seq is newer), then in the order the
-        # senders dispatched.  Such a resume is scheduled here only if
-        # its delivery pops before every resume scheduled here comes due.
-        # Otherwise a rank runs on first, creating events the object core
-        # numbers before it, so the delivery itself is queued with the
-        # recv left posted, and completes on the scalar path.
-        w_sr = np.asarray(sr, dtype=np.intp)
-        hit = incoming < t
-        direct = hit.copy()
-        due = min([res[1] for res in neutral] + done[hit].tolist(),
-                  default=np.inf)
-        pops = np.lexsort((w_sr[pair], incoming))
-        pops = pops[~hit[pops]]
-        if len(pops):
-            # each delivery must pop before the earliest resume due so far
-            first_due = np.minimum.accumulate(
-                np.concatenate(([due], done[pops]))
-            )[:-1]
-            ok = incoming[pops] < first_due
-            direct[pops[: len(ok) if ok.all() else int(ok.argmin())]] = True
-        late = direct & ~hit
-        w_all = np.concatenate((
-            np.where(hit, w_sr, w_sr[pair]),
-            np.array([res[0] for res in neutral], dtype=np.intp),
-        ))
-        t_all = np.concatenate((
-            np.where(late, incoming, np.where(hit, t, t[pair])),
-            np.array([wave[res[0]][0] for res in neutral]),
-        ))
-        order = np.lexsort((
-            np.concatenate((hit, np.zeros(len(neutral), bool))),
-            w_all,
-            np.concatenate((late, np.zeros(len(neutral), bool))),
-            t_all,
-        ))
-        direct_f = direct.tolist()
-        incoming_f = incoming.tolist()
-        pair_f = pair.tolist()
-        states = self._states
-        heap = self._events
-        seq = self._seq
-        for i in order.tolist():
-            if i >= m:
-                _, d, r, value = neutral[i - m]
-                states[r].time = d
-                heap.append((d, next(seq), _ADV, r, value))
-                continue
-            r = wave[sr[i]][3]
-            if direct_f[i]:
-                states[r].time = done_f[i]
-                heap.append((done_f[i], next(seq), _ADV, r, None))
-                continue
-            j = pair_f[i]
-            st = states[r]
-            src = wave[sr[j]][3]
-            st.waiting = (src, int(rtags[i]))
-            st.recv_floor = max(float(send_done[i]), float(t[i]))
-            self._n_deliver += 1
-            heap.append((incoming_f[i], next(seq), _DELIVER, r, _Message(
-                src=src, tag=int(stags[j]), nbytes=int(nb[j]), payload=None,
-                arrival=incoming_f[i], pipelined=bool(rdzv[j]),
-            )))
-        heapq.heapify(heap)
-        return True
-
-    def _neutral_resumes(
-        self, wave: List[tuple], ops: List[Any], skip: frozenset = frozenset()
-    ) -> List[tuple]:
-        """``(w, time, rank, value)`` resumes of the neutral members
-        (Compute / Now / Mark; finished ranks have none) in wave order."""
-        cpu = self._cpu
-        out = []
-        for i, ev in enumerate(wave):
-            op = ops[i]
-            if op is None or i in skip:
-                continue
-            t = ev[0]
-            cls = op.__class__
-            d = t + cpu(ev[3], op.seconds) if cls is Compute else t
-            out.append((i, d, ev[3], t if cls is Now else None))
-        return out
-
     def _commit_neutral_wave(self, wave: List[tuple], ops: List[Any]) -> None:
-        """Commit an all-neutral wave: resumes in wave order."""
+        """Commit a wave of neutral members (Compute / Now / Mark;
+        finished ranks have none): their resumes in wave order."""
         heap = self._events
         seq = self._seq
         states = self._states
-        for _, d, r, value in self._neutral_resumes(wave, ops):
+        cpu = self._cpu
+        for ev, op in zip(wave, ops):
+            if op is None:
+                continue
+            t, r = ev[0], ev[3]
+            cls = op.__class__
+            d = t + cpu(r, op.seconds) if cls is Compute else t
             states[r].time = d
-            heap.append((d, next(seq), _ADV, r, value))
+            heap.append((d, next(seq), _ADV, r, t if cls is Now else None))
         heapq.heapify(heap)
 
-    def _drain_scalar(
-        self, wave: List[tuple], ops: List[Any], drained: List[tuple]
-    ) -> None:
+    def _drain_scalar(self, wave: List[tuple], ops: List[Any]) -> None:
         """Dispatch an already-resumed wave in exact object-core order,
-        interleaving any events the dispatches schedule.
-
-        ``drained`` lists ``(time, seq, dest)`` of the deliveries the
-        wave drained ahead of time, in heap order.  The object core
-        hands out each one's resume seq only when that delivery pops,
-        i.e. after every event keyed before it — including events
-        scheduled right here.  So each drained resume is re-numbered
-        with a fresh seq the moment the merge passes its delivery's
-        key; that keeps equal-time ties in the object core's order.
-        The wave's own order is unaffected: fresh seqs are issued in
-        delivery order and exceed every older seq in the wave.
-        """
+        interleaving any events the dispatches schedule."""
         heap = self._events
         pop = heapq.heappop
-        seq = self._seq
-        at = {ev[3]: w for w, ev in enumerate(wave)} if drained else None
-        d = 0
-        nd = len(drained)
         i = 0
         m = len(wave)
         while i < m:
             ev = wave[i]
-            nxt = heap[0] if heap and heap[0] < ev else ev
-            if d < nd and drained[d] < nxt:
-                w = at[drained[d][2]]
-                old = wave[w]
-                wave[w] = (old[0], next(seq), _ADV, old[3], old[4])
-                d += 1
-                continue
-            if nxt is not ev:
+            if heap and heap[0] < ev:
                 self._exec(pop(heap))
                 continue
             op = ops[i]

@@ -514,14 +514,49 @@ def collect_bench(
 # ---------------------------------------------------------------------------
 # The store
 # ---------------------------------------------------------------------------
+def _number(x: Any) -> bool:
+    """A JSON number that converts to a float (bools are not numbers)."""
+    return type(x) is float or type(x) is int and abs(x) < 1e308
+
+
 def _well_formed(doc: Any) -> bool:
     """The shape :func:`_new_document` writes: a known kind whose
-    metrics map names to objects with a numeric ``value``."""
-    metrics = doc.get("metrics") if isinstance(doc, dict) else None
-    return isinstance(metrics, dict) and doc.get("kind") in KINDS and all(
-        isinstance(entry, dict) and type(entry.get("value")) in (int, float)
-        for entry in metrics.values()
+    metrics map names to objects with a numeric ``value`` (and, if
+    given, a known ``direction`` and a non-negative ``tolerance``), an
+    object ``meta``, and a list of scenario objects with a name and a
+    numeric ``badness`` — everything ``bench list`` and ``bench trend``
+    read."""
+    if not isinstance(doc, dict):
+        return False
+    metrics = doc.get("metrics")
+    scenarios = doc.get("scenarios") or []
+    return (
+        doc.get("kind") in KINDS
+        and isinstance(doc.get("meta", {}), dict)
+        and isinstance(metrics, dict)
+        and all(
+            isinstance(entry, dict)
+            and _number(entry.get("value"))
+            and entry.get("direction", "info") in DIRECTIONS
+            and (entry.get("tolerance") is None
+                 or _number(entry["tolerance"]) and entry["tolerance"] >= 0)
+            for entry in metrics.values()
+        )
+        and isinstance(scenarios, list)
+        and all(
+            isinstance(e, dict) and "name" in e and _number(e.get("badness"))
+            for e in scenarios
+        )
     )
+
+
+def _check_schema(path: Union[str, Path], doc: Any) -> None:
+    """Refuse a document of another schema version (not damage)."""
+    if isinstance(doc, dict) and doc.get("schema") != SCHEMA_VERSION:
+        raise ValueError(
+            f"{path}: unsupported metric-document schema "
+            f"{doc.get('schema')!r}"
+        )
 
 
 class MetricsStore:
@@ -627,14 +662,13 @@ class MetricsStore:
         return path
 
     def load(self, path: Union[str, Path]) -> Any:
+        """The decoded document at ``path``.  Bytes that are not UTF-8
+        JSON raise ValueError subclasses; so does a document of another
+        schema version."""
         import json
 
-        doc = json.loads(Path(path).read_text())
-        if isinstance(doc, dict) and doc.get("schema") != SCHEMA_VERSION:
-            raise ValueError(
-                f"{path}: unsupported metric-document schema "
-                f"{doc.get('schema')!r}"
-            )
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        _check_schema(path, doc)
         return doc
 
     def load_last(
@@ -643,15 +677,17 @@ class MetricsStore:
         """The last ``n`` decodable documents (all when None), oldest
         first.  Undecodable or misshapen files are quarantined and
         skipped, so one corrupt document cannot take down every listing
-        and trend verdict built on the store."""
+        and trend verdict built on the store.  A document of another
+        schema version raises ValueError."""
         import json
 
         out: List[Tuple[Path, Dict[str, Any]]] = []
         for p in self.paths(kind):
             try:
-                doc = self.load(p)
-            except json.JSONDecodeError:
+                doc = json.loads(p.read_text(encoding="utf-8"))
+            except (ValueError, RecursionError):  # not UTF-8 JSON: damage
                 doc = None
+            _check_schema(p, doc)
             if _well_formed(doc):
                 out.append((p, doc))
             else:

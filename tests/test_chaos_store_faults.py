@@ -11,6 +11,7 @@ number, leave a temp file, hold the lock, or corrupt a neighbour.
 """
 
 import errno
+import json
 import subprocess
 import sys
 import textwrap
@@ -18,6 +19,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.chaos.faultio import InjectError
 from repro.core.atomicio import (
@@ -238,14 +240,18 @@ class TestDaemonIdArbitration:
 #: A store file that decodes to something other than a metric document
 #: is damage, quarantined like one that does not decode at all.
 MISSHAPEN_DOCUMENTS = {
-    "undecodable": "{rot",
-    "not-an-object": "[1,2]",
+    "undecodable": b"{rot",
+    "not-utf8": b'\xff\xfe{"a":1}',
+    "not-an-object": b"[1,2]",
     "metric-not-an-object":
-        f'{{"schema":{SCHEMA_VERSION},"kind":"run","metrics":{{"x":5}}}}',
-    "value-not-a-number": f'{{"schema":{SCHEMA_VERSION},"kind":"run",'
-                          '"metrics":{"x":{"value":"5"}}}',
+        b'{"schema":%d,"kind":"run","metrics":{"x":5}}' % SCHEMA_VERSION,
+    "value-not-a-number": b'{"schema":%d,"kind":"run",'
+                          b'"metrics":{"x":{"value":"5"}}}' % SCHEMA_VERSION,
     "unknown-kind":
-        f'{{"schema":{SCHEMA_VERSION},"kind":"nope","metrics":{{}}}}',
+        b'{"schema":%d,"kind":"nope","metrics":{}}' % SCHEMA_VERSION,
+    "meta-not-an-object":
+        b'{"schema":%d,"kind":"run","meta":null,"metrics":{}}'
+        % SCHEMA_VERSION,
 }
 
 
@@ -266,14 +272,12 @@ class TestVerifySurfaces:
     def test_bench_list_reports_quarantined_documents(
         self, tmp_path, capsys
     ):
-        import json
-
         from repro.cli import main
 
         for name, content in MISSHAPEN_DOCUMENTS.items():
             store = MetricsStore(tmp_path / name)
             store.write(_doc("good"))
-            (store.directory / "metrics-000002-run.json").write_text(content)
+            (store.directory / "metrics-000002-run.json").write_bytes(content)
             rc = main(["bench", "list", "--store", str(store.directory),
                        "--json"])
             assert rc == 0, name
@@ -287,16 +291,108 @@ class TestVerifySurfaces:
     def test_bench_trend_skips_quarantined_documents(
         self, tmp_path, capsys, content
     ):
-        import json
-
         from repro.cli import main
 
         store = MetricsStore(tmp_path)
         store.write(_doc("good"))
-        (tmp_path / "metrics-000002-run.json").write_text(content)
+        (tmp_path / "metrics-000002-run.json").write_bytes(content)
         rc = main(["bench", "trend", "--store", str(tmp_path), "--json"])
         assert rc == 0
         verdict = json.loads(capsys.readouterr().out)
         assert [d["file"] for d in verdict["documents"]] == [
             "metrics-000001-run.json"]
         assert len(store.corrupt_documents()) == 1
+
+
+#: any value a JSON document can hold (``NaN`` and infinities included:
+#: Python's json module reads and writes them)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+#: where a fuzzed value goes in a well-formed document
+DOC_PATHS = (
+    ("schema",), ("kind",), ("meta",), ("meta", "git_sha"), ("metrics",),
+    ("metrics", "points"), ("metrics", "points", "value"),
+    ("metrics", "points", "direction"), ("metrics", "points", "tolerance"),
+    ("metrics", "new"), ("scenarios",), ("scenarios", 0),
+    ("scenarios", 0, "name"), ("scenarios", 0, "badness"),
+    ("scenarios", 0, "drift_max"), ("digest",), ("volatile",),
+)
+
+
+class TestMetricStoreFuzz:
+    """Whatever bytes a store file holds, ``bench list`` and ``bench
+    trend`` quarantine it or fail with a typed error (exit 2), never a
+    traceback; a document of another schema version stays a refusal."""
+
+    @staticmethod
+    def _commands(content: bytes) -> list:
+        """``(argv, exit status, stdout, stderr)`` of each command over
+        a store holding one good document and then ``content``."""
+        import contextlib
+        import io
+        import tempfile
+
+        from repro.cli import main
+
+        out = []
+        with tempfile.TemporaryDirectory() as tmp:
+            store = MetricsStore(tmp)
+            good = _doc("good")
+            good["meta"]["git_sha"] = "cafe"
+            store.write(good)
+            (store.directory / "metrics-000002-run.json").write_bytes(content)
+            for argv in (["bench", "list", "--json"], ["bench", "list"],
+                         ["bench", "trend"], ["bench", "trend", "--json"],
+                         ["bench", "trend", "--since", "cafe"]):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), \
+                        contextlib.redirect_stderr(stderr):
+                    rc = main(argv + ["--store", tmp])
+                out.append((argv, rc, stdout.getvalue(), stderr.getvalue()))
+        return out
+
+    def _check(self, content: bytes, refused: bool) -> None:
+        for argv, rc, stdout, stderr in self._commands(content):
+            if refused:
+                assert rc == 2 and "schema" in stderr, (argv, stderr)
+                continue
+            assert rc in ((0,) if argv[1] == "list" else (0, 1)), (argv, rc)
+            if argv == ["bench", "list", "--json"]:
+                listing = json.loads(stdout)
+                assert listing["documents"][0]["git_sha"] == "cafe"
+                assert (len(listing["documents"])
+                        + listing["corrupt_documents"]) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(content=st.binary(max_size=64)
+           | JSON_VALUES.map(lambda v: json.dumps(v).encode()))
+    def test_arbitrary_bytes(self, content):
+        try:
+            doc = json.loads(content.decode("utf-8"))
+        except ValueError:
+            doc = None
+        self._check(content, isinstance(doc, dict)
+                    and doc.get("schema") != SCHEMA_VERSION)
+
+    @settings(max_examples=150, deadline=None)
+    @given(path=st.sampled_from(DOC_PATHS), value=JSON_VALUES)
+    def test_any_json_value_in_any_field(self, path, value):
+        doc = _doc("fuzzed")
+        doc["scenarios"] = [{"name": "s", "badness": 0.5, "drift_max": None}]
+        doc["digest"] = "feed"
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        self._check(json.dumps(doc).encode(),
+                    doc.get("schema") != SCHEMA_VERSION)
+
+    def test_other_schema_version_is_refused(self):
+        doc = dict(_doc("future"), schema=SCHEMA_VERSION + 1)
+        self._check(json.dumps(doc).encode(), refused=True)

@@ -2,13 +2,13 @@
 to the object core.
 
 Every :class:`~repro.mpi.comm.MPIWorld` runs the batched engine, which
-reorders *execution* — memoised timing tables, drained deliveries,
-vectorised wave commits — but must never reorder *observable
-behaviour*: every rank's virtual times, returned values, and the run's
-traffic statistics have to match the object core bit for bit.  The
-object core is reached only through :func:`object_core`, which swaps it
-in for the engine class ``MPIWorld.run`` instantiates.  These tests pin
-that contract:
+reorders *execution* — memoised timing tables, wave commits of
+neutral ops and of compiled collectives — but must never reorder
+*observable behaviour*: every rank's virtual times, returned values,
+and the run's traffic statistics have to match the object core bit for
+bit.  The object core is reached only through :func:`object_core`,
+which swaps it in for the engine class ``MPIWorld.run`` instantiates.
+These tests pin that contract:
 
 * figure-level equality on the real Fig. 2/3 workloads (reduced size);
 * CLI-level equality across ``--jobs``, ``--faults``, ``--guard
@@ -22,7 +22,9 @@ that contract:
 * compiled collectives: a wave of equal :class:`Collective` ops commits
   from its round table, and must match both the object core and the
   batched engine with the compile taken out (:func:`expanded_only`),
-  which drives the same generators op by op.
+  which drives the same generators op by op;
+* the wave commits still fire, and only with no delivery in flight
+  (an equivalence test cannot see a commit that never runs).
 """
 
 from __future__ import annotations
@@ -231,9 +233,10 @@ def _composed(phases):
             elif kind == "compute":
                 yield comm.compute(phase[1] * (comm.rank % 3 + 1) * 1e-7)
             elif kind == "xchg":
-                # payload-free pairwise exchange (the vector-commit path)
-                # on its own tag, so a faster message from another phase
-                # cannot overtake it; an unpaired rank computes instead
+                # payload-free pairwise exchange (a lockstep round the
+                # scalar path dispatches in wave order) on its own tag,
+                # so a faster message from another phase cannot overtake
+                # it; an unpaired rank computes instead
                 partner = comm.rank ^ (1 << phase[2])
                 if partner < comm.size:
                     yield comm.sendrecv(partner, phase[1], partner,
@@ -262,13 +265,13 @@ FAULTS = st.one_of(
     binding_mix=st.sampled_from(["imb", "jl", "mixed"]),
     faults=FAULTS,
 )
-# Deliver-drain regressions: a drained delivery's resume must take its
-# event sequence number where the object core would hand it out, or
+# Deliveries in flight beside equal-time resumes: each resume a delivery
+# makes must take its sequence number when that delivery pops, or
 # equal-time resumes dispatch in the wrong order (ranks 5/6 swap here)...
 @example(nranks=8, rpn=4, binding_mix="imb", faults=None,
          phases=[("barrier",), ("ring", 32, 2), ("allreduce", 8),
                  ("gatherv", 70000, 0)])
-# ...and the same for a resume the object core runs between two drained
+# ...and the same for a resume the object core runs between two
 # deliveries (rank 0's time drifts here).
 @example(nranks=16, rpn=2, binding_mix="jl", faults=None,
          phases=[("bcast", 70000), ("allreduce", 8), ("gatherv", 2048, 0)])
@@ -339,9 +342,9 @@ def test_random_programs_equivalent(nranks, rpn, phases, binding_mix,
 def test_same_tag_overtaking_matches_object_core():
     """Regression: two back-to-back gathervs where the second (small)
     message physically overtakes the first (large) one on the shm wire.
-    The object core matches the *earlier-arriving* message first; the
-    batched deliver-drain must not commit the pending large delivery
-    while the source still has an earlier scheduled event (found by the
+    The object core matches the *earlier-arriving* message first, and
+    so must the batched core, which has the large delivery queued while
+    the source still has an earlier scheduled event (found by the
     property test above: nranks=2, phases gatherv 2048 then 16)."""
     make = lambda: MPIWorld(nranks=2, ranks_per_node=2, binding=IMB_C)
     program = _composed([("gatherv", 2048, 0), ("gatherv", 16, 0)])
@@ -358,6 +361,44 @@ def test_faulted_world_equivalent():
                          ("ring", 32, 1)])
     ref, got = _both_cores(make, program)
     assert got == ref
+
+
+def test_wave_commits_fire_only_with_no_delivery_in_flight():
+    """On a fault-free 16-rank world the compiled-collective commit and
+    the neutral-wave commit each run at least once, and a wave is only
+    tried while the heap holds nothing but rank resumes.  The scalar
+    path gives the same answers, so the equivalence tests alone would
+    pass with either commit switched off."""
+    cls = batched.BatchedEngine
+    collective, neutral, wave = (
+        cls._commit_collective, cls._commit_neutral_wave, cls._wave
+    )
+    counts = {"collective": 0, "neutral": 0}
+
+    def count_collective(self, members, ops):
+        ok = collective(self, members, ops)
+        counts["collective"] += ok
+        return ok
+
+    def count_neutral(self, members, ops):
+        counts["neutral"] += 1
+        return neutral(self, members, ops)
+
+    def only_resumes(self):
+        assert self._n_deliver == 0
+        assert all(ev[2] == batched._ADV for ev in self._events)
+        return wave(self)
+
+    make = lambda: MPIWorld(nranks=16, ranks_per_node=4, binding=IMB_C)
+    program = _composed([("compute", 3), ("barrier",), ("now",),
+                         ("allreduce0", 8)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cls, "_commit_collective", count_collective)
+        mp.setattr(cls, "_commit_neutral_wave", count_neutral)
+        mp.setattr(cls, "_wave", only_resumes)
+        ref, got = _both_cores(make, program)
+    assert got == ref
+    assert counts["collective"] >= 1 and counts["neutral"] >= 1, counts
 
 
 def test_fig3_point_worlds_compile_their_collectives():
