@@ -11,10 +11,10 @@ regeneration itself, and the interesting numbers are attached to
 
 The simulator-core comparison (``test_bench_simcore.py``) additionally
 consolidates its measurements into ``BENCH_simcore.json`` in the current
-directory — events/sec and wall-clock per figure for the object vs
-batched event cores, plus ShallowWaters steps/sec for the fused vs
-reference kernels.  CI uploads that file as an artifact and gates on the
-recorded speedups.
+directory — events/sec and wall-clock per figure for the object-core
+oracle (``tests/object_core.py``, importable from here) vs the engine,
+plus ShallowWaters steps/sec for the fused vs reference kernels.  CI
+uploads that file as an artifact and gates on the recorded speedups.
 
 Each session also snapshots the same measurements into a per-run metric
 document in the ``$REPRO_METRICS_DIR`` store (default ``.repro-metrics``;
@@ -33,6 +33,9 @@ from pathlib import Path
 
 import pytest
 
+# The object-core oracle the simcore benchmark times lives with the tests.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
 #: measurements accumulated by the simcore benchmarks, keyed by section
 #: ("figures" / "points" / "stepping") then entry name.
 _SIMCORE_RESULTS: dict = {}
@@ -46,7 +49,7 @@ def pytest_configure(config):
 
 @pytest.fixture(scope="session")
 def simcore_record():
-    """Recorder for the object-vs-batched measurements.
+    """Recorder for the object-core vs engine measurements.
 
     Call ``simcore_record(section, name, **fields)``; everything lands
     in ``BENCH_simcore.json`` when the session ends.

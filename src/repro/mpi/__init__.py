@@ -3,10 +3,8 @@
 * topology:    :class:`TofuDTopology` — Fugaku's 6-D torus
 * network:     :class:`TofuDNetwork` — wire latency/bandwidth/protocols
 * bindings:    ``IMB_C`` vs ``MPI_JL`` software-cost profiles
-* simulator:   :class:`Engine` — deterministic discrete-event engine
-               (the reference semantics)
-* batched:     :class:`~repro.mpi.batched.BatchedEngine` — the event
-               core every :class:`MPIWorld` runs
+* simulator:   :class:`Engine` — the deterministic discrete-event
+               engine every :class:`MPIWorld` runs
 * schedules:   compiled round tables of payload-free collectives
 * comm:        :class:`MPIWorld` / :class:`Comm` — mpi4py-style surface
 * collectives: real message-flow algorithms (allreduce/reduce/gatherv/...)

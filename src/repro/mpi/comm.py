@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Any, Callable, Dict, Generator, List, Optional, Tuple
 
-from .batched import BatchedEngine
 from .bindings import BindingProfile, IMB_C
 from .faults import FaultPlan, get_active_plan
 from .collectives import (
@@ -44,6 +43,7 @@ from .network import TofuDNetwork
 from .simulator import (
     Collective,
     Compute,
+    Engine,
     Irecv,
     Isend,
     Now,
@@ -221,9 +221,9 @@ class MPIWorld:
 
         Traffic statistics of the run are left in :attr:`last_stats`.
         Faulted, traced, guarded and timed-out worlds take the
-        engine's scalar path (see :mod:`repro.mpi.batched`).
+        engine's scalar path (see :mod:`repro.mpi.simulator`).
         """
-        engine = BatchedEngine(
+        engine = Engine(
             self.nranks,
             self.network,
             binding=self.binding,

@@ -82,7 +82,7 @@ class TofuDNetwork:
         """Time from injection at ``src`` to arrival at ``dst``.
 
         ``hops`` lets a caller supply a precomputed hop count (the
-        batched engine's dense matrix); the timing formula is unchanged.
+        engine's dense hop matrix); the timing formula is unchanged.
         """
         if src == dst:
             return WireTiming(0.0, 0, "shm")

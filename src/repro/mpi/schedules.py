@@ -7,9 +7,9 @@ read off its generator in :mod:`repro.mpi.collectives` once per
 communicator size.  :class:`Schedule` holds those sequences as flat
 columns (events, messages, dependency levels); :func:`evaluate` runs
 them with the scalar path's float chain from given entry times; and
-:func:`pop_order` ranks every event in the order the object core's heap
-would pop it.  :class:`~repro.mpi.batched.BatchedEngine` commits the
-result (see its ``_commit_collective``).
+:func:`pop_order` ranks every event in the order the event heap would
+pop it.  :class:`~repro.mpi.simulator.Engine` commits the result (see
+its ``_commit_collective``).
 """
 
 from __future__ import annotations

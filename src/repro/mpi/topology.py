@@ -134,7 +134,7 @@ class TofuDTopology:
         ``na != nb`` (the diagonal is clamped to 1 by the same
         ``max(h, 1)`` and must be short-circuited by a same-node check,
         exactly as :meth:`hops` does).  Built vectorised once per
-        topology value and shared process-wide — this is the batched
+        topology value and shared process-wide — this is the event
         engine's answer to per-message dimension-ordered routing.
         """
         mat = _HOPS_MATRICES.get(self)

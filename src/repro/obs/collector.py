@@ -225,7 +225,7 @@ def document_digest(doc: Dict[str, Any]) -> str:
 def _base_meta(sha: Any = "auto") -> Dict[str, Any]:
     return {
         "git_sha": git_sha() if sha == "auto" else sha,
-        # Every world runs a BatchedEngine; the key stays so document
+        # Every world runs the one event core; the key stays so document
         # digests, goldens and stored trend history remain unchanged.
         "sim_core": "batched",
     }
@@ -675,18 +675,18 @@ class MetricsStore:
         self, n: Optional[int] = None, kind: Optional[str] = None,
     ) -> List[Tuple[Path, Dict[str, Any]]]:
         """The last ``n`` decodable documents (all when None), oldest
-        first.  Undecodable or misshapen files are quarantined and
-        skipped, so one corrupt document cannot take down every listing
-        and trend verdict built on the store.  A document of another
-        schema version raises ValueError."""
+        first.  Unreadable, undecodable or misshapen entries are
+        quarantined and skipped, so one corrupt document cannot take
+        down every listing and trend verdict built on the store.  A
+        document of another schema version raises ValueError."""
         import json
 
         out: List[Tuple[Path, Dict[str, Any]]] = []
         for p in self.paths(kind):
             try:
                 doc = json.loads(p.read_text(encoding="utf-8"))
-            except (ValueError, RecursionError):  # not UTF-8 JSON: damage
-                doc = None
+            except (OSError, ValueError, RecursionError):
+                doc = None  # unreadable, or not UTF-8 JSON: damage
             _check_schema(p, doc)
             if _well_formed(doc):
                 out.append((p, doc))

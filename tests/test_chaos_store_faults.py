@@ -303,6 +303,23 @@ class TestVerifySurfaces:
             "metrics-000001-run.json"]
         assert len(store.corrupt_documents()) == 1
 
+    def test_unreadable_entry_is_quarantined(self, tmp_path, capsys):
+        """An entry whose read fails (here a directory under a document
+        name) is damage like undecodable bytes, not a traceback."""
+        from repro.cli import main
+
+        store = MetricsStore(tmp_path)
+        store.write(_doc("good"))
+        (tmp_path / "metrics-000002-run.json").mkdir()
+        rc = main(["bench", "list", "--store", str(tmp_path), "--json"])
+        assert rc == 0
+        listing = json.loads(capsys.readouterr().out)
+        assert listing["corrupt_documents"] == 1
+        assert len(listing["documents"]) == 1
+        assert main(["bench", "trend", "--store", str(tmp_path)]) == 0
+        assert [p.name for p in store.corrupt_documents()] == [
+            "metrics-000002-run.json.corrupt"]
+
 
 #: any value a JSON document can hold (``NaN`` and infinities included:
 #: Python's json module reads and writes them)

@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = (
     "numpy",
     "repro.core.figures",
-    "repro.mpi.batched",
+    "repro.mpi.simulator",
     "repro.shallowwaters.kernels",
 )
 

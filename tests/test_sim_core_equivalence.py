@@ -1,28 +1,30 @@
-"""Differential equivalence: the batched core must be byte-identical
-to the object core.
+"""Differential equivalence: the engine must be byte-identical to the
+reference object core.
 
-Every :class:`~repro.mpi.comm.MPIWorld` runs the batched engine, which
-reorders *execution* — memoised timing tables, wave commits of
-neutral ops and of compiled collectives — but must never reorder
-*observable behaviour*: every rank's virtual times, returned values,
-and the run's traffic statistics have to match the object core bit for
-bit.  The object core is reached only through :func:`object_core`,
-which swaps it in for the engine class ``MPIWorld.run`` instantiates.
-These tests pin that contract:
+Every :class:`~repro.mpi.comm.MPIWorld` runs
+:class:`~repro.mpi.simulator.Engine`, which reorders *execution* —
+memoised timing tables, tuple events, wave commits of neutral ops and
+of compiled collectives — but must never reorder *observable
+behaviour*: every rank's virtual times, returned values, and the run's
+traffic statistics have to match the object core bit for bit.  The
+object core is the oracle in ``tests/object_core.py``, reached only
+through :func:`object_core`, which swaps it in for the engine class
+``MPIWorld.run`` instantiates.  These tests pin that contract:
 
 * figure-level equality on the real Fig. 2/3 workloads (reduced size);
 * CLI-level equality across ``--jobs``, ``--faults``, ``--guard
   observe`` and ``--resume`` (pool workers fork, so they inherit the
   swap);
 * a hypothesis property test over randomly composed rank programs —
-  mixed SendRecv rings, collectives, compute, odd topologies, per-rank
-  bindings and fault plans — which is the backstop for event-order tie
-  handling at the vector/scalar boundary;
+  mixed SendRecv rings, non-blocking halo exchanges, collectives,
+  compute, odd topologies, per-rank bindings and fault plans — which
+  is the backstop for event-order tie handling at the vector/scalar
+  boundary;
 * the dense hop matrix against the scalar dimension-ordered router;
 * compiled collectives: a wave of equal :class:`Collective` ops commits
   from its round table, and must match both the object core and the
-  batched engine with the compile taken out (:func:`expanded_only`),
-  which drives the same generators op by op;
+  engine with the compile taken out (:func:`expanded_only`), which
+  drives the same generators op by op;
 * the wave commits still fire, and only with no delivery in flight
   (an equivalence test cannot see a commit that never runs).
 """
@@ -36,22 +38,15 @@ import operator
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from object_core import object_core
 from repro.core import figures
 from repro.mpi import Comm, MPIWorld
-from repro.mpi import batched, schedules
-from repro.mpi import comm as comm_module
+from repro.mpi import schedules, simulator
 from repro.mpi.bindings import IMB_C, MPI_JL
+from repro.mpi.comm import Engine
 from repro.mpi.faults import FAULT_PRESETS, parse_fault_spec
-from repro.mpi.simulator import Engine, RankFailedError
+from repro.mpi.simulator import RankFailedError
 from repro.mpi.topology import TofuDTopology
-
-
-@contextlib.contextmanager
-def object_core():
-    """Run the enclosed code on the reference object core."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(comm_module, "BatchedEngine", Engine)
-        yield
 
 
 def _stats_doc(world: MPIWorld) -> dict:
@@ -93,7 +88,7 @@ def _both_cores(make_world, program, *args):
 
 
 def _three_cores(make_world, program, *args):
-    """Object core, batched with the compile taken out, batched."""
+    """Object core, the engine with the compile taken out, the engine."""
     ref, got = _both_cores(make_world, program, *args)
     with expanded_only():
         expanded = _run_world(make_world, program, *args)
@@ -104,14 +99,14 @@ def _three_cores(make_world, program, *args):
 def committed():
     """Record the collectives of every round table committed."""
     seen = []
-    apply = batched.BatchedEngine._apply
+    apply = Engine._apply
 
     def spy(self, plan, wave, ahead):
         seen.append(tuple(op.kind for op in plan.sched.collectives))
         return apply(self, plan, wave, ahead)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(batched.BatchedEngine, "_apply", spy)
+        mp.setattr(Engine, "_apply", spy)
         yield seen
 
 
@@ -199,6 +194,7 @@ PHASE = st.one_of(
     st.tuples(st.just("xchg"), st.sampled_from([8, 4096, 70000]),
               st.integers(0, 3)),
     st.tuples(st.just("now")),
+    st.tuples(st.just("halo"), st.sampled_from([64, 70000])),
 )
 
 
@@ -245,6 +241,21 @@ def _composed(phases):
                     yield comm.compute(1e-7)
             elif kind == "now":
                 yield comm.now()
+            elif kind == "halo":
+                # non-blocking ring exchange, the distributed ShallowWaters
+                # halo pattern, on tags no other phase uses
+                left = (comm.rank - 1) % comm.size
+                right = (comm.rank + 1) % comm.size
+                to_left = yield comm.isend(left, phase[1], payload=acc,
+                                           tag=11)
+                to_right = yield comm.isend(right, phase[1], payload=acc,
+                                            tag=12)
+                from_left = yield comm.irecv(left, tag=12)
+                from_right = yield comm.irecv(right, tag=11)
+                west, east = yield comm.waitall([from_left, from_right])
+                yield comm.wait(to_left)
+                yield comm.wait(to_right)
+                acc = (acc + west + east) % 100003
         t = yield comm.now()
         return (acc, t)
 
@@ -317,6 +328,13 @@ FAULTS = st.one_of(
 @example(nranks=10, rpn=2, binding_mix="mixed", faults=None,
          phases=[("barrier",), ("now",), ("allreduce0", 8),
                  ("bcast", 64)])
+# Non-blocking halo exchanges (Isend / Irecv / Wait / Waitall), eager
+# and rendezvous, fault-free and on a lossy network.
+@example(nranks=6, rpn=2, binding_mix="imb", faults=None,
+         phases=[("halo", 70000), ("barrier",), ("halo", 64), ("now",)])
+@example(nranks=8, rpn=2, binding_mix="jl", faults=("lossy", 5),
+         phases=[("compute", 2), ("halo", 64), ("allreduce0", 8),
+                 ("halo", 70000)])
 def test_random_programs_equivalent(nranks, rpn, phases, binding_mix,
                                     faults):
     kwargs = {}
@@ -343,7 +361,7 @@ def test_same_tag_overtaking_matches_object_core():
     """Regression: two back-to-back gathervs where the second (small)
     message physically overtakes the first (large) one on the shm wire.
     The object core matches the *earlier-arriving* message first, and
-    so must the batched core, which has the large delivery queued while
+    so must the engine, which has the large delivery queued while
     the source still has an earlier scheduled event (found by the
     property test above: nranks=2, phases gatherv 2048 then 16)."""
     make = lambda: MPIWorld(nranks=2, ranks_per_node=2, binding=IMB_C)
@@ -353,7 +371,7 @@ def test_same_tag_overtaking_matches_object_core():
 
 
 def test_faulted_world_equivalent():
-    """With a fault plan the batched engine runs its scalar path — the
+    """With a fault plan the engine runs its scalar path — the
     outputs (including lost-message effects) must still match."""
     plan = parse_fault_spec("lossy", seed=3)
     make = lambda: MPIWorld(nranks=12, ranks_per_node=2, faults=plan)
@@ -369,7 +387,7 @@ def test_wave_commits_fire_only_with_no_delivery_in_flight():
     tried while the heap holds nothing but rank resumes.  The scalar
     path gives the same answers, so the equivalence tests alone would
     pass with either commit switched off."""
-    cls = batched.BatchedEngine
+    cls = Engine
     collective, neutral, wave = (
         cls._commit_collective, cls._commit_neutral_wave, cls._wave
     )
@@ -386,7 +404,7 @@ def test_wave_commits_fire_only_with_no_delivery_in_flight():
 
     def only_resumes(self):
         assert self._n_deliver == 0
-        assert all(ev[2] == batched._ADV for ev in self._events)
+        assert all(ev[2] == simulator._ADV for ev in self._events)
         return wave(self)
 
     make = lambda: MPIWorld(nranks=16, ranks_per_node=4, binding=IMB_C)
